@@ -19,7 +19,6 @@ from pathlib import Path
 from .errors import (
     DEFAULT_ENUM_GUARD,
     DEFAULT_HOCHSTER_GUARD,
-    DEFAULT_TAYLOR_GUARD,
     GUARD_OVERRIDE_ENV,
     ConsistencyError,
     GuardError,
@@ -83,7 +82,6 @@ class CliConfig:
     max_k: int
     max_vertices: int
     hochster_guard: int
-    taylor_guard: int
     jobs: int
     format: str
 
@@ -92,7 +90,6 @@ class CliConfig:
             ("--max-k", self.max_k),
             ("--max-vertices", self.max_vertices),
             ("--hochster-guard", self.hochster_guard),
-            ("--taylor-guard", self.taylor_guard),
             ("--jobs", self.jobs),
         ):
             if value < 1:
@@ -430,7 +427,6 @@ def _common_flags() -> argparse.ArgumentParser:
     common.add_argument("--max-k", type=int, default=3)
     common.add_argument("--max-vertices", type=int, default=5)
     common.add_argument("--hochster-guard", type=int, default=DEFAULT_HOCHSTER_GUARD)
-    common.add_argument("--taylor-guard", type=int, default=DEFAULT_TAYLOR_GUARD)
     common.add_argument("--jobs", type=int, default=1)
     common.add_argument("--format", choices=["json", "csv", "text"], default="text")
     common.add_argument("--output", default=None)
@@ -489,21 +485,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> CliConfig:
-    for name, value, default in (
-        ("--hochster-guard", args.hochster_guard, DEFAULT_HOCHSTER_GUARD),
-        ("--taylor-guard", args.taylor_guard, DEFAULT_TAYLOR_GUARD),
-    ):
-        if value > default and not guard_override_enabled():
-            raise InputError(
-                f"{name} {value} is above the default {default}; set "
-                f"{GUARD_OVERRIDE_ENV}=1 to raise guards"
-            )
+    if args.hochster_guard > DEFAULT_HOCHSTER_GUARD and not guard_override_enabled():
+        raise InputError(
+            f"--hochster-guard {args.hochster_guard} is above the default "
+            f"{DEFAULT_HOCHSTER_GUARD}; set {GUARD_OVERRIDE_ENV}=1 to raise guards"
+        )
     return CliConfig(
         field=FIELDS[args.field],
         max_k=args.max_k,
         max_vertices=args.max_vertices,
         hochster_guard=args.hochster_guard,
-        taylor_guard=args.taylor_guard,
         jobs=args.jobs,
         format=args.format,
     )

@@ -424,7 +424,9 @@ def _refinement_classes(g: Graph) -> list[list[int]]:
 
 def canonical_form(g: Graph) -> tuple[int, tuple[Edge, ...]]:
     """A canonical labeled copy: minimal edge list over all relabelings that
-    respect the refinement classes (equal iff isomorphic)."""
+    respect the refinement classes (equal iff isomorphic). It serves corpus
+    dedupe only (`isomorphism_representatives`, `are_isomorphic`); the
+    homology memo keys on exact relabelled adjacency instead."""
     classes = _refinement_classes(g)
     offsets = []
     pos = 1

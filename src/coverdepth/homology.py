@@ -18,7 +18,9 @@ results:
   folded away before any matrix is built (independence complexes only);
 * disjoint graph components are combined by the join rule for reduced
   homology over a field;
-* component homology is memoized under graph canonical forms, per field.
+* component homology is memoized per field under the component's adjacency
+  bitmasks, relabelled 0..m-1 in increasing vertex order; the key is exact,
+  so equal keys are equal labelled graphs.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .errors import (
     GuardError,
     InputError,
 )
-from .graphs import Graph, adjacency_masks, canonical_form, graph, independence_number
+from .graphs import Graph, adjacency_masks
 from .ideals import (
     MonomialIdeal,
     alexander_dual,
@@ -191,35 +193,49 @@ def _dims_from_faces(faces: dict[int, list[tuple]], char: int) -> dict[int, int]
     return dims
 
 
-# memo for component homology: (char, canonical graph) -> sparse dims
+def _adjacency_from_pairs(pairs, pos: dict) -> tuple[int, ...]:
+    """Neighbor bitmasks of the graph whose edges are the 2-element `pairs`;
+    vertex v sits at bit pos[v], and there are len(pos) vertices."""
+    adj = [0] * len(pos)
+    for u, v in pairs:
+        adj[pos[u]] |= 1 << pos[v]
+        adj[pos[v]] |= 1 << pos[u]
+    return tuple(adj)
+
+
+def _independent_masks(adj: tuple[int, ...], n: int):
+    """All independent vertex subsets as bitmasks, in subset-lex order."""
+
+    def extend(mask: int, allowed: int):
+        yield mask
+        for v in iter_bits(allowed):
+            yield from extend(
+                mask | (1 << v), allowed & ~adj[v] & ~((2 << v) - 1)
+            )
+
+    yield from extend(0, (1 << n) - 1)
+
+
+# memo for component homology: (char, relabelled adjacency) -> sparse dims
 _COMPONENT_DIMS: dict[tuple, dict[int, int]] = {}
 
 
 def _component_dims(adj: tuple[int, ...], comp_mask: int, char: int) -> dict[int, int]:
     """Sparse reduced-homology dims of the independence complex of one
-    connected induced subgraph, memoized under its canonical form."""
-    verts = sorted(iter_bits(comp_mask))
-    local = {v: i + 1 for i, v in enumerate(verts)}
-    edges = [
-        (local[u], local[v])
-        for u in verts
-        for v in iter_bits(adj[u] & comp_mask)
-        if u < v
-    ]
-    g = graph(len(verts), edges)
-    key = (char, canonical_form(g))
+    connected induced subgraph, memoized per field under the subgraph's
+    adjacency bitmasks relabelled 0..m-1 in increasing vertex order. The key
+    determines the labelled graph, so a hit is always the same complex."""
+    verts = list(iter_bits(comp_mask))
+    local = tuple(
+        sum(1 << i for i, w in enumerate(verts) if adj[v] >> w & 1)
+        for v in verts
+    )
+    key = (char, local)
     cached = _COMPONENT_DIMS.get(key)
     if cached is None:
-        masks = adjacency_masks(g)
-        faces: dict[int, list[tuple]] = {-1: [()]}
-
-        def extend(prefix: tuple, allowed: int) -> None:
-            for v in iter_bits(allowed):
-                face = prefix + (v,)
-                faces.setdefault(len(face) - 1, []).append(face)
-                extend(face, allowed & ~masks[v] & ~((2 << v) - 1))
-
-        extend((), (1 << g.n) - 1)
+        faces: dict[int, list[tuple]] = {}
+        for w in _independent_masks(local, len(verts)):
+            faces.setdefault(w.bit_count() - 1, []).append(tuple(iter_bits(w)))
         dense = _dims_from_faces(faces, char)
         cached = {d: c for d, c in dense.items() if c}
         _COMPONENT_DIMS[key] = cached
@@ -298,20 +314,9 @@ def reduced_homology_dims(
         # of the graph whose edges are the non-faces
         order = {v: i for i, v in enumerate(sorted(c.vertex_set))}
         n = len(order)
-        adj = [0] * n
-        for nf in c.non_faces:
-            u, v = sorted(nf)
-            adj[order[u]] |= 1 << order[v]
-            adj[order[v]] |= 1 << order[u]
-        h = graph(
-            n,
-            [
-                (order[u] + 1, order[v] + 1)
-                for u, v in (sorted(nf) for nf in c.non_faces)
-            ],
-        )
-        top = independence_number(h) - 1
-        sparse = _ind_dims(tuple(adj), (1 << n) - 1, f.char)
+        adj = _adjacency_from_pairs(c.non_faces, order)
+        top = max(w.bit_count() for w in _independent_masks(adj, n)) - 1
+        sparse = _ind_dims(adj, (1 << n) - 1, f.char)
         return {d: sparse.get(d, 0) for d in range(-1, top + 1)}
     return _dims_from_faces(_faces_by_dim(c.vertex_set, c.non_faces), f.char)
 
@@ -377,19 +382,6 @@ def _betti_from_counts(num_vars: int, counts: dict[tuple[int, int], int]) -> Bet
     return BettiTable(num_vars, entries)
 
 
-def _independent_masks(adj: tuple[int, ...], n: int):
-    """All independent vertex subsets as bitmasks, in subset-lex order."""
-
-    def extend(mask: int, allowed: int):
-        yield mask
-        for v in iter_bits(allowed):
-            yield from extend(
-                mask | (1 << v), allowed & ~adj[v] & ~((2 << v) - 1)
-            )
-
-    yield from extend(0, (1 << n) - 1)
-
-
 def betti_table_squarefree(
     ideal: MonomialIdeal,
     f: FieldChoice = RATIONALS,
@@ -421,13 +413,10 @@ def betti_table_squarefree(
     dual = alexander_dual(ideal)
     dual_supports = [support(m) for m in dual.sorted_gens()]
     if all(len(s) == 2 for s in dual_supports):
-        pos = {v: i for i, v in enumerate(sweep)}
         m = len(sweep)
-        adj = [0] * m
-        for u, v in dual_supports:
-            adj[pos[u]] |= 1 << pos[v]
-            adj[pos[v]] |= 1 << pos[u]
-        adj_t = tuple(adj)
+        adj_t = _adjacency_from_pairs(
+            dual_supports, {v: i for i, v in enumerate(sweep)}
+        )
         full = (1 << m) - 1
         for w in _independent_masks(adj_t, m):
             closed = w
@@ -535,6 +524,19 @@ def pd_reg_depth(
     return table.pd, table.reg, original_vars - table.pd
 
 
+def _reg_sweep(adj: tuple[int, ...], masks, char: int) -> int:
+    """Edge-ideal regularity read off the induced subgraphs on `masks`:
+    one more than the largest d + 1 with nonzero reduced homology of degree
+    d in an independence complex. The dims from _ind_dims are sparse and
+    nonzero, and vanish on subgraphs with an isolated vertex (cones)."""
+    best = 0
+    for mask in masks:
+        for d in _ind_dims(adj, mask, char):
+            if d + 1 > best:
+                best = d + 1
+    return best + 1
+
+
 def reg_edge_ideal(
     g: Graph,
     f: FieldChoice = RATIONALS,
@@ -548,15 +550,7 @@ def reg_edge_ideal(
     limit = DEFAULT_HOCHSTER_GUARD if guard is None else guard
     if g.n > limit:
         raise GuardError(f"{g.n} vertices exceed the guard {limit}")
-    adj = adjacency_masks(g)
-    best = 0
-    for mask in range(1 << g.n):
-        if any(adj[v] & mask == 0 for v in iter_bits(mask)):
-            continue  # isolated vertex in the subgraph: cone
-        for d, c in _ind_dims(adj, mask, f.char).items():
-            if c and d + 1 > best:
-                best = d + 1
-    return best + 1
+    return _reg_sweep(adjacency_masks(g), range(1 << g.n), f.char)
 
 
 def reg_edge_ideal_layered(gk: LayeredGraph, f: FieldChoice = RATIONALS) -> int:
@@ -576,19 +570,9 @@ def reg_edge_ideal_layered(gk: LayeredGraph, f: FieldChoice = RATIONALS) -> int:
     for idx, (i, _p) in enumerate(labels):
         if adj[idx]:
             columns[i].append(idx)
-    best = 0
-    options = [[None, *column] for column in columns.values()]
-    for choice in itertools.product(*options):
-        mask = 0
-        for v in choice:
-            if v is not None:
-                mask |= 1 << v
-        if any(adj[v] & mask == 0 for v in iter_bits(mask)):
-            continue
-        for d, c in _ind_dims(adj, mask, f.char).items():
-            if c and d + 1 > best:
-                best = d + 1
-    return best + 1
+    options = [[0, *(1 << v for v in column)] for column in columns.values()]
+    masks = (sum(choice) for choice in itertools.product(*options))
+    return _reg_sweep(adj, masks, f.char)
 
 
 def depth_symbolic_cover(

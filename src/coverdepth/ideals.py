@@ -117,11 +117,6 @@ def monomial_ideal(ring: Ring, gens: Iterable[Iterable[int]]) -> MonomialIdeal:
     return MonomialIdeal(ring, _minimalize(tuple(g) for g in gens))
 
 
-def minimalize(ring: Ring, gens: Iterable[Iterable[int]]) -> MonomialIdeal:
-    """Public alias of the antichain reduction."""
-    return monomial_ideal(ring, gens)
-
-
 def support(mono: Monomial) -> tuple[int, ...]:
     return tuple(i for i, e in enumerate(mono) if e > 0)
 

@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import GuardError, InputError
+from .errors import DEFAULT_HOCHSTER_GUARD, GuardError, InputError
 from .graphs import (
     Graph,
     _search_ordered,
@@ -309,7 +309,7 @@ def verify_regind(
     s = largest_stable_s(g)
     threshold = stability_threshold(t, s)
     instance = {"graph": _graph_json(g), "field": f.label}
-    limit = 18 if guard is None else guard
+    limit = DEFAULT_HOCHSTER_GUARD if guard is None else guard
     checked: dict[str, dict] = {}
     failures = {}
     guard_notes = {}

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coverdepth import homology
 from coverdepth.errors import GuardError, InputError
-from coverdepth.graphs import Graph
+from coverdepth.graphs import Graph, enumerate_graphs
 from coverdepth.homology import (
     F2,
     RATIONALS,
@@ -205,6 +206,22 @@ def test_reduced_homology_matches_oracle_on_complexes(c):
         assert got == {}
     else:
         assert got == expected
+
+
+def test_graph_fast_path_matches_reference_with_cold_memo():
+    """The folded, component-memoized path against plain face enumeration,
+    on every labelled graph with at most five vertices, over Q and F2. The
+    memo starts empty, so every key is built here and every hit is checked."""
+    homology._COMPONENT_DIMS.clear()
+    for f in (RATIONALS, F2):
+        for n in range(1, 6):
+            for g in enumerate_graphs(n):
+                c = independence_complex(g)
+                expected = homology._dims_from_faces(
+                    homology._faces_by_dim(c.vertex_set, c.non_faces), f.char
+                )
+                assert reduced_homology_dims(c, f) == expected, (g, f)
+    assert homology._COMPONENT_DIMS
 
 
 @given(g=small_graphs(max_n=5), data=st.data())
