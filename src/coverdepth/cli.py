@@ -31,7 +31,6 @@ from .graphs import (
     Graph,
     independence_number,
     induced_matching_number,
-    is_bipartite,
     largest_stable_s,
     ordered_matching_number,
     s_ordered_matching_number,
@@ -50,19 +49,7 @@ from .ideals import (
     symbolic_power_cover,
 )
 from .layered import LayeredGraph, build_gk
-from .theorems import (
-    THEOREM_IDS,
-    instance_hash,
-    report_to_csv,
-    report_to_json,
-    run_corpus,
-    verify_bipartite,
-    verify_main,
-    verify_proof_matchings,
-    verify_reg_upper,
-    verify_regind,
-    verify_whisker,
-)
+from .theorems import REPORT_FORMATS, THEOREM_IDS, VERIFIERS, run_corpus
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -94,7 +81,7 @@ class CliConfig:
         ):
             if value < 1:
                 raise InputError(f"{name} must be >= 1, got {value}")
-        if self.format not in ("json", "csv", "text"):
+        if self.format not in REPORT_FORMATS:
             raise InputError(f"unknown format {self.format!r}")
 
 
@@ -340,22 +327,6 @@ def cmd_depth(args, cfg: CliConfig) -> int:
     return EXIT_OK
 
 
-def report_to_text(outcomes) -> str:
-    lines = [
-        f"{o.theorem_id} {o.status} n={o.instance['graph']['n']} "
-        f"{instance_hash(o.instance)}"
-        for o in outcomes
-    ]
-    counts = {"passed": 0, "failed": 0, "skipped": 0}
-    for o in outcomes:
-        counts[o.status] += 1
-    lines.append(
-        f"passed {counts['passed']} failed {counts['failed']} "
-        f"skipped {counts['skipped']}"
-    )
-    return "\n".join(lines) + "\n"
-
-
 def _verify_single(args, cfg: CliConfig, theorems) -> list:
     g = _load_graph(args.graph)
     partition = (
@@ -363,28 +334,14 @@ def _verify_single(args, cfg: CliConfig, theorems) -> list:
     )
     outcomes = []
     for tid in theorems:
-        if tid == "whisker":
-            if partition is None:
-                if args.theorem == "whisker":
-                    raise InputError("verify whisker needs --partition")
-                continue
-            outcomes.append(
-                verify_whisker(g, partition, cfg.max_k, cfg.field, cfg.hochster_guard)
-            )
-        elif tid == "main":
-            outcomes.append(verify_main(g, 1, cfg.field, cfg.hochster_guard))
-        elif tid == "regind":
-            outcomes.append(verify_regind(g, cfg.field, cfg.hochster_guard))
-        elif tid == "regupper":
-            outcomes.append(verify_reg_upper(g, cfg.field, cfg.hochster_guard))
-        elif tid == "bipartite":
-            if args.theorem == "all" and not is_bipartite(g)[0]:
-                continue
-            outcomes.append(
-                verify_bipartite(g, cfg.max_k, cfg.field, cfg.hochster_guard)
-            )
-        elif tid == "proofmatch":
-            outcomes.append(verify_proof_matchings(g, cfg.field))
+        spec = VERIFIERS[tid]
+        if args.theorem == "all" and not spec.applies(g, partition):
+            continue
+        if spec.takes_partition and partition is None:
+            raise InputError(f"verify {tid} needs --partition")
+        outcomes.append(
+            spec.call(g, partition, cfg.max_k, cfg.field, cfg.hochster_guard)
+        )
     return outcomes
 
 
@@ -406,13 +363,7 @@ def cmd_verify(args, cfg: CliConfig) -> int:
         # a rejected instance is an input problem, not a disproved theorem
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    if cfg.format == "json":
-        text = report_to_json(outcomes)
-    elif cfg.format == "csv":
-        text = report_to_csv(outcomes)
-    else:
-        text = report_to_text(outcomes)
-    _emit(text, args.output)
+    _emit(REPORT_FORMATS[cfg.format](outcomes), args.output)
     return EXIT_VERIFY_FAILED if any(o.status == "failed" for o in outcomes) else EXIT_OK
 
 
@@ -428,7 +379,7 @@ def _common_flags() -> argparse.ArgumentParser:
     common.add_argument("--max-vertices", type=int, default=5)
     common.add_argument("--hochster-guard", type=int, default=DEFAULT_HOCHSTER_GUARD)
     common.add_argument("--jobs", type=int, default=1)
-    common.add_argument("--format", choices=["json", "csv", "text"], default="text")
+    common.add_argument("--format", choices=list(REPORT_FORMATS), default="text")
     common.add_argument("--output", default=None)
     return common
 

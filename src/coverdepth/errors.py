@@ -2,7 +2,9 @@
 
 Every guard is explicit: exceeding one raises :class:`GuardError` instead of
 silently approximating, and verification drivers convert guard hits into
-first-class "skipped" outcomes so reports stay honest about coverage.
+first-class "skipped" outcomes so reports stay honest about coverage. The
+Hochster and Taylor budgets are all tested by the one helper
+:func:`check_guard`.
 """
 
 from __future__ import annotations
@@ -46,3 +48,13 @@ def guard_override_enabled(environ: dict[str, str] | None = None) -> bool:
     env = os.environ if environ is None else environ
     value = env.get(GUARD_OVERRIDE_ENV, "").strip().lower()
     return value in {"1", "true", "yes", "on"}
+
+
+def check_guard(cost: int, limit: int | None, default: int, message: str) -> int:
+    """Return the budget in force (`limit`, or `default` when None), raising
+    :class:`GuardError` with `message` formatted on `cost` and `limit` when
+    `cost` exceeds it."""
+    limit = default if limit is None else limit
+    if cost > limit:
+        raise GuardError(message.format(cost=cost, limit=limit))
+    return limit

@@ -35,8 +35,8 @@ from .errors import (
     DEFAULT_HOCHSTER_GUARD,
     DEFAULT_TAYLOR_GUARD,
     ConsistencyError,
-    GuardError,
     InputError,
+    check_guard,
 )
 from .graphs import Graph, adjacency_masks
 from .ideals import (
@@ -302,11 +302,8 @@ def reduced_homology_dims(
     """Reduced homology dimensions of the complex over the chosen field, for
     every degree from -1 up to the complex dimension. The void complex has
     no faces and returns an empty map."""
-    limit = DEFAULT_HOCHSTER_GUARD if guard is None else guard
-    if len(c.vertex_set) > limit:
-        raise GuardError(
-            f"complex has {len(c.vertex_set)} vertices, guard is {limit}"
-        )
+    check_guard(len(c.vertex_set), guard, DEFAULT_HOCHSTER_GUARD,
+                "complex has {cost} vertices, guard is {limit}")
     if c.is_void:
         return {}
     if c.vertex_set and c.non_faces and all(len(nf) == 2 for nf in c.non_faces):
@@ -401,10 +398,9 @@ def betti_table_squarefree(
         raise InputError("Betti table via complexes needs a squarefree ideal")
     if ideal.is_unit:
         raise InputError("the unit ideal is not a quotient ring input")
-    limit = DEFAULT_HOCHSTER_GUARD if guard is None else guard
     sweep = sorted({i for m in ideal.gens for i in support(m)})
-    if len(sweep) > limit:
-        raise GuardError(f"{len(sweep)} active variables exceed guard {limit}")
+    check_guard(len(sweep), guard, DEFAULT_HOCHSTER_GUARD,
+                "{cost} active variables exceed guard {limit}")
     counts: dict[tuple[int, int], int] = defaultdict(int)
     counts[(0, 0)] = 1
     if not ideal.gens:
@@ -461,10 +457,9 @@ def taylor_betti_oracle(
     """
     if ideal.is_unit:
         raise InputError("the unit ideal is not a quotient ring input")
-    limit = DEFAULT_TAYLOR_GUARD if guard is None else guard
     gens = ideal.sorted_gens()
-    if len(gens) > limit:
-        raise GuardError(f"{len(gens)} generators exceed the guard {limit}")
+    check_guard(len(gens), guard, DEFAULT_TAYLOR_GUARD,
+                "{cost} generators exceed the guard {limit}")
     zero = tuple([0] * ideal.ring.num_vars)
 
     def lcm_of(subset: tuple[int, ...]) -> tuple[int, ...]:
@@ -547,9 +542,8 @@ def reg_edge_ideal(
     subgraphs. Needs at least one edge."""
     if not g.edges:
         raise InputError("regularity of an edge ideal needs at least one edge")
-    limit = DEFAULT_HOCHSTER_GUARD if guard is None else guard
-    if g.n > limit:
-        raise GuardError(f"{g.n} vertices exceed the guard {limit}")
+    check_guard(g.n, guard, DEFAULT_HOCHSTER_GUARD,
+                "{cost} vertices exceed the guard {limit}")
     return _reg_sweep(adjacency_masks(g), range(1 << g.n), f.char)
 
 
@@ -575,6 +569,13 @@ def reg_edge_ideal_layered(gk: LayeredGraph, f: FieldChoice = RATIONALS) -> int:
     return _reg_sweep(adj, masks, f.char)
 
 
+def layered_guard(g: Graph, k: int, guard: int | None = None) -> int:
+    """The Hochster budget in force for depth(S / J(g)^(k)); raises
+    GuardError when the layered graph G_k, on n * k vertices, exceeds it."""
+    return check_guard(g.n * k, guard, DEFAULT_HOCHSTER_GUARD,
+                       "layered computation needs {cost} vertices, guard is {limit}")
+
+
 def depth_symbolic_cover(
     g: Graph,
     k: int,
@@ -595,11 +596,7 @@ def depth_symbolic_cover(
         raise InputError("needs a graph with at least one edge")
     if k < 1:
         raise InputError("symbolic power exponent must be >= 1")
-    limit = DEFAULT_HOCHSTER_GUARD if guard is None else guard
-    if g.n * k > limit:
-        raise GuardError(
-            f"layered computation needs {g.n * k} vertices, guard is {limit}"
-        )
+    limit = layered_guard(g, k, guard)
     table = betti_table_squarefree(polarize(symbolic_power_cover(g, k)), f, limit)
     depth_a = g.n - table.pd
     depth_b = g.n - reg_edge_ideal_layered(build_gk(g, k), f)

@@ -4,8 +4,13 @@ Each verifier checks one statement relating cover-ideal depth, edge-ideal
 regularity, and matching numbers on a concrete graph, and returns a
 :class:`VerificationOutcome` that is `passed`, `failed` (with an expected
 vs computed payload), or `skipped` (resource guards; never silent).
-:func:`run_corpus` sweeps every verifier over exhaustively enumerated
-small graphs and yields a deterministic, machine-readable report.
+
+:data:`VERIFIERS` is the registry: one :class:`Verifier` entry per theorem
+id, in report order, saying which instances a verifier takes and how it is
+called. :data:`THEOREM_IDS`, :func:`run_corpus` and the CLI's single-graph
+mode all read it, so a new verifier is one entry. :func:`run_corpus` sweeps
+every verifier over exhaustively enumerated small graphs and yields a
+deterministic, machine-readable report, rendered by :data:`REPORT_FORMATS`.
 """
 
 from __future__ import annotations
@@ -17,9 +22,9 @@ import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import DEFAULT_HOCHSTER_GUARD, GuardError, InputError
+from .errors import GuardError, InputError
 from .graphs import (
     Graph,
     _search_ordered,
@@ -38,6 +43,7 @@ from .homology import (
     RATIONALS,
     FieldChoice,
     depth_symbolic_cover,
+    layered_guard,
     reg_edge_ideal,
     reg_edge_ideal_layered,
 )
@@ -50,8 +56,6 @@ from .layered import (
     proof_matching_bipartite,
     proof_matching_main,
 )
-
-THEOREM_IDS = ("main", "whisker", "regind", "regupper", "bipartite", "proofmatch")
 
 #: largest base-graph size whiskered instances are generated from
 WHISKER_BASE_LIMIT = 4
@@ -173,6 +177,34 @@ def _observed_stabilization(depths: dict[int, int], limit: int) -> int | None:
     return start
 
 
+def _depths(
+    g: Graph, ks: Iterable[int], f: FieldChoice, guard: int | None
+) -> tuple[dict[int, int], str | None]:
+    """depth(S/J(g)^(k)) for each k in order, stopping at the first guard
+    hit; the second value is that hit as "k=<k>: <message>", or None."""
+    depths: dict[int, int] = {}
+    for k in ks:
+        try:
+            depths[k] = depth_symbolic_cover(g, k, f, guard)
+        except GuardError as err:
+            return depths, f"k={k}: {err}"
+    return depths, None
+
+
+def _outcome(
+    theorem_id: str, instance: dict, base: dict, failures: dict, skip: str | None
+) -> VerificationOutcome:
+    """Any failure fails the instance; otherwise a skip reason skips it;
+    otherwise it passes with `base` as its details."""
+    if failures:
+        return VerificationOutcome(theorem_id, instance, "failed", {**base, **failures})
+    if skip is not None:
+        return VerificationOutcome(
+            theorem_id, instance, "skipped", {**base, "reason": skip}
+        )
+    return VerificationOutcome(theorem_id, instance, "passed", base)
+
+
 def verify_main(
     g: Graph,
     k_extra: int = 1,
@@ -190,14 +222,7 @@ def verify_main(
     threshold = stability_threshold(t, s)
     limit = g.n - t - 1
     instance = {"graph": _graph_json(g), "k_extra": k_extra, "field": f.label}
-    depths: dict[int, int] = {}
-    guard_hit: str | None = None
-    for k in range(1, threshold + k_extra + 1):
-        try:
-            depths[k] = depth_symbolic_cover(g, k, f, guard)
-        except GuardError as err:
-            guard_hit = f"k={k}: {err}"
-            break
+    depths, guard_hit = _depths(g, range(1, threshold + k_extra + 1), f, guard)
     failures = {}
     for k, depth in depths.items():
         if k >= threshold and depth != limit:
@@ -211,12 +236,8 @@ def verify_main(
         "limit_depth": limit,
         "depths": {str(k): d for k, d in sorted(depths.items())},
     }
-    if failures:
-        return VerificationOutcome("main", instance, "failed", {**base, **failures})
-    if guard_hit is not None:
-        return VerificationOutcome(
-            "main", instance, "skipped", {**base, "reason": guard_hit}
-        )
+    if failures or guard_hit is not None:
+        return _outcome("main", instance, base, failures, guard_hit)
     report = StabilityReport(
         g,
         t,
@@ -244,9 +265,9 @@ def verify_whisker(
     if k_max < 1:
         raise InputError("k_max must be >= 1")
     w = whisker(g, pi)
-    m = len(list(pi))
-    alpha = independence_number(g)
     blocks = [sorted(set(b)) for b in pi]
+    m = len(blocks)
+    alpha = independence_number(g)
     instance = {
         "graph": _graph_json(g),
         "partition": blocks,
@@ -257,19 +278,10 @@ def verify_whisker(
     failures = {}
     if t_w != m:
         failures["ord_match"] = {"expected": m, "computed": t_w}
-    if s_ordered_matching_number(w, m) != m:
-        failures["m_ordered_certificate"] = {
-            "expected": m,
-            "computed": s_ordered_matching_number(w, m),
-        }
-    depths: dict[int, int] = {}
-    guard_hit: str | None = None
-    for k in range(1, k_max + 1):
-        try:
-            depths[k] = depth_symbolic_cover(w, k, f, guard)
-        except GuardError as err:
-            guard_hit = f"k={k}: {err}"
-            break
+    s_w = s_ordered_matching_number(w, m)
+    if s_w != m:
+        failures["m_ordered_certificate"] = {"expected": m, "computed": s_w}
+    depths, guard_hit = _depths(w, range(1, k_max + 1), f, guard)
     expected = {
         k: (g.n + m - alpha - 1 if k == 1 else g.n - 1) for k in depths
     }
@@ -287,13 +299,7 @@ def verify_whisker(
         "expected_depths": {str(k): d for k, d in sorted(expected.items())},
         "stabilizes_by": 2,
     }
-    if failures:
-        return VerificationOutcome("whisker", instance, "failed", {**base, **failures})
-    if guard_hit is not None:
-        return VerificationOutcome(
-            "whisker", instance, "skipped", {**base, "reason": guard_hit}
-        )
-    return VerificationOutcome("whisker", instance, "passed", base)
+    return _outcome("whisker", instance, base, failures, guard_hit)
 
 
 def verify_regind(
@@ -309,15 +315,14 @@ def verify_regind(
     s = largest_stable_s(g)
     threshold = stability_threshold(t, s)
     instance = {"graph": _graph_json(g), "field": f.label}
-    limit = DEFAULT_HOCHSTER_GUARD if guard is None else guard
     checked: dict[str, dict] = {}
     failures = {}
     guard_notes = {}
     for k in (threshold, threshold + 1):
-        if g.n * k > limit:
-            guard_notes[f"k={k}"] = (
-                f"layered computation needs {g.n * k} vertices, guard is {limit}"
-            )
+        try:
+            layered_guard(g, k, guard)
+        except GuardError as err:
+            guard_notes[f"k={k}"] = str(err)
             continue
         gk = build_gk(g, k)
         reg = reg_edge_ideal_layered(gk, f)
@@ -330,14 +335,8 @@ def verify_regind(
     base = {"t": t, "s": s, "threshold": threshold, "checked": checked}
     if guard_notes:
         base["guard_skips"] = guard_notes
-    if failures:
-        return VerificationOutcome("regind", instance, "failed", {**base, **failures})
-    if not checked:
-        return VerificationOutcome(
-            "regind", instance, "skipped",
-            {**base, "reason": "all exponents exceed the guard"},
-        )
-    return VerificationOutcome("regind", instance, "passed", base)
+    skip = None if checked else "all exponents exceed the guard"
+    return _outcome("regind", instance, base, failures, skip)
 
 
 def verify_reg_upper(
@@ -395,14 +394,7 @@ def verify_bipartite(
         powers_equal[k] = same
         if not same:
             failures[f"symbolic vs ordinary at k={k}"] = {"equal": False}
-    depths: dict[int, int] = {}
-    guard_hit: str | None = None
-    for k in range(t, k_max + 1):
-        try:
-            depths[k] = depth_symbolic_cover(g, k, f, guard)
-        except GuardError as err:
-            guard_hit = f"k={k}: {err}"
-            break
+    depths, guard_hit = _depths(g, range(t, k_max + 1), f, guard)
     limit = g.n - t - 1
     for k, depth in depths.items():
         if depth != limit:
@@ -413,15 +405,7 @@ def verify_bipartite(
         "symbolic_equals_ordinary": {str(k): v for k, v in powers_equal.items()},
         "depths": {str(k): d for k, d in sorted(depths.items())},
     }
-    if failures:
-        return VerificationOutcome(
-            "bipartite", instance, "failed", {**base, **failures}
-        )
-    if guard_hit is not None:
-        return VerificationOutcome(
-            "bipartite", instance, "skipped", {**base, "reason": guard_hit}
-        )
-    return VerificationOutcome("bipartite", instance, "passed", base)
+    return _outcome("bipartite", instance, base, failures, guard_hit)
 
 
 def verify_proof_matchings(
@@ -495,14 +479,9 @@ def verify_proof_matchings(
             "reason": "graph is not bipartite",
         }
 
-    if failures:
-        return VerificationOutcome("proofmatch", instance, "failed", details)
-    if not ran_any:
-        return VerificationOutcome(
-            "proofmatch", instance, "skipped",
-            {**details, "reason": "no construction hypothesis applies"},
-        )
-    return VerificationOutcome("proofmatch", instance, "passed", details)
+    # every failure entry is also in details, so merging them adds nothing
+    skip = None if ran_any else "no construction hypothesis applies"
+    return _outcome("proofmatch", instance, details, failures, skip)
 
 
 # ---------------------------------------------------------------------------
@@ -546,27 +525,49 @@ def _corpus_graphs(max_vertices: int, dedupe: bool, no_isolated: bool) -> list[G
     return out
 
 
+@dataclass(frozen=True)
+class Verifier:
+    """Registry entry for one theorem id.
+
+    `call(g, partition, k_max, field, guard)` runs the verifier. An entry
+    with `takes_partition` is given every clique partition of the base
+    graphs on up to WHISKER_BASE_LIMIT vertices (isolated vertices allowed)
+    and needs a partition in single-graph mode; every other entry is given
+    the graphs without isolated vertices that `accepts`.
+    """
+
+    call: Callable[..., VerificationOutcome]
+    takes_partition: bool = False
+    accepts: Callable[[Graph], bool] = lambda g: True
+
+    def applies(self, g: Graph, partition: Sequence | None) -> bool:
+        """Whether a run of all verifiers gives this one the instance."""
+        return partition is not None if self.takes_partition else self.accepts(g)
+
+
+# The calls name verify_* at call time, not as captured function objects,
+# so wrappers installed on this module's attributes see every call.
+VERIFIERS: dict[str, Verifier] = {
+    "main": Verifier(lambda g, pi, k_max, f, guard: verify_main(g, 1, f, guard)),
+    "whisker": Verifier(
+        lambda g, pi, k_max, f, guard: verify_whisker(g, pi, k_max, f, guard),
+        takes_partition=True,
+    ),
+    "regind": Verifier(lambda g, pi, k_max, f, guard: verify_regind(g, f, guard)),
+    "regupper": Verifier(lambda g, pi, k_max, f, guard: verify_reg_upper(g, f, guard)),
+    "bipartite": Verifier(
+        lambda g, pi, k_max, f, guard: verify_bipartite(g, k_max, f, guard),
+        accepts=lambda g: is_bipartite(g)[0],
+    ),
+    "proofmatch": Verifier(lambda g, pi, k_max, f, guard: verify_proof_matchings(g, f)),
+}
+
+THEOREM_IDS = tuple(VERIFIERS)
+
+
 def _run_item(item: tuple) -> VerificationOutcome:
-    kind = item[0]
-    if kind == "main":
-        _, g, k_extra, f, guard = item
-        return verify_main(g, k_extra, f, guard)
-    if kind == "whisker":
-        _, g, pi, k_max, f, guard = item
-        return verify_whisker(g, pi, k_max, f, guard)
-    if kind == "regind":
-        _, g, f, guard = item
-        return verify_regind(g, f, guard)
-    if kind == "regupper":
-        _, g, f, guard = item
-        return verify_reg_upper(g, f, guard)
-    if kind == "bipartite":
-        _, g, k_max, f, guard = item
-        return verify_bipartite(g, k_max, f, guard)
-    if kind == "proofmatch":
-        _, g, f = item
-        return verify_proof_matchings(g, f)
-    raise InputError(f"unknown theorem id {kind!r}")
+    tid, g, pi, k_max, f, guard = item
+    return VERIFIERS[tid].call(g, pi, k_max, f, guard)
 
 
 def run_corpus(
@@ -591,29 +592,15 @@ def run_corpus(
     corpus = _corpus_graphs(max_vertices, dedupe, no_isolated=True)
     items: list[tuple] = []
     for tid in requested:
-        if tid == "main":
-            items.extend(("main", g, 1, field, guard) for g in corpus)
-        elif tid == "whisker":
+        spec = VERIFIERS[tid]
+        if spec.takes_partition:
             bases = _corpus_graphs(
                 min(max_vertices, WHISKER_BASE_LIMIT), dedupe, no_isolated=False
             )
-            items.extend(
-                ("whisker", g, pi, k_max, field, guard)
-                for g in bases
-                for pi in clique_partitions(g)
-            )
-        elif tid == "regind":
-            items.extend(("regind", g, field, guard) for g in corpus)
-        elif tid == "regupper":
-            items.extend(("regupper", g, field, guard) for g in corpus)
-        elif tid == "bipartite":
-            items.extend(
-                ("bipartite", g, k_max, field, guard)
-                for g in corpus
-                if is_bipartite(g)[0]
-            )
-        elif tid == "proofmatch":
-            items.extend(("proofmatch", g, field) for g in corpus)
+            instances = [(g, pi) for g in bases for pi in clique_partitions(g)]
+        else:
+            instances = [(g, None) for g in corpus if spec.applies(g, None)]
+        items.extend((tid, g, pi, k_max, field, guard) for g, pi in instances)
     if jobs == 1:
         return [_run_item(item) for item in items]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -624,6 +611,22 @@ def instance_hash(instance: dict) -> str:
     """Stable short fingerprint of a serialized instance."""
     payload = json.dumps(instance, sort_keys=True).encode()
     return hashlib.sha256(payload).hexdigest()[:12]
+
+
+def report_to_text(outcomes: Sequence[VerificationOutcome]) -> str:
+    lines = [
+        f"{o.theorem_id} {o.status} n={o.instance['graph']['n']} "
+        f"{instance_hash(o.instance)}"
+        for o in outcomes
+    ]
+    counts = {"passed": 0, "failed": 0, "skipped": 0}
+    for o in outcomes:
+        counts[o.status] += 1
+    lines.append(
+        f"passed {counts['passed']} failed {counts['failed']} "
+        f"skipped {counts['skipped']}"
+    )
+    return "\n".join(lines) + "\n"
 
 
 def report_to_json(outcomes: Sequence[VerificationOutcome]) -> str:
@@ -641,3 +644,11 @@ def report_to_csv(outcomes: Sequence[VerificationOutcome]) -> str:
             [o.theorem_id, o.instance["graph"]["n"], instance_hash(o.instance), o.status]
         )
     return buf.getvalue()
+
+
+# Renderers by format name, looked up at call time like the VERIFIERS calls.
+REPORT_FORMATS: dict[str, Callable[[Sequence[VerificationOutcome]], str]] = {
+    "json": lambda outcomes: report_to_json(outcomes),
+    "csv": lambda outcomes: report_to_csv(outcomes),
+    "text": lambda outcomes: report_to_text(outcomes),
+}

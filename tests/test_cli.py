@@ -19,6 +19,7 @@ from coverdepth.errors import ParseError
 from coverdepth.graphs import Graph
 from coverdepth.ideals import cover_ideal, equal, ideal_from_json
 from coverdepth.layered import build_gk
+from coverdepth.theorems import report_to_json, run_corpus
 
 P4_TEXT = "n 4\n1 2\n2 3\n3 4\n"
 K2_TEXT = "n 2\n1 2\n"
@@ -223,6 +224,36 @@ def test_verify_whisker_single(files, capsys):
     ) == 0
     assert main(["verify", "whisker", "--graph", files["k2"]]) == 2
     capsys.readouterr()
+
+
+def test_verify_single_graph_matches_corpus(tmp_path, capsys):
+    """`verify all --graph` gives each graph of the <=3-vertex corpus the
+    same outcomes as the corpus sweep, whisker included when a partition
+    is given."""
+    corpus = json.loads(report_to_json(run_corpus(max_vertices=3, k_max=3)))
+    graph_file = tmp_path / "g.txt"
+    pi_file = tmp_path / "pi.txt"
+    pi_file.write_text("1 2\n3\n")
+
+    def check(graph, partition=None):
+        g = Graph(graph["n"], tuple(tuple(e) for e in graph["edges"]))
+        graph_file.write_text(format_graph_text(g))
+        argv = ["verify", "all", "--graph", str(graph_file), "--format", "json"]
+        if partition is not None:
+            argv += ["--partition", str(pi_file)]
+        assert main(argv) == 0
+        expected = [
+            o for o in corpus
+            if o["instance"]["graph"] == graph
+            and o["instance"].get("partition", partition) == partition
+        ]
+        assert json.loads(capsys.readouterr().out) == expected
+
+    graphs = [o["instance"]["graph"] for o in corpus if o["theorem_id"] == "main"]
+    assert len(graphs) == 3
+    for graph in graphs:
+        check(graph)
+    check({"n": 3, "edges": [[1, 2], [1, 3], [2, 3]]}, partition=[[1, 2], [3]])
 
 
 def test_verify_corpus_small(files, capsys):

@@ -4,15 +4,18 @@ sweeps, and the invariant that verifiers never fail on real inputs."""
 from __future__ import annotations
 
 import itertools
+import json
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from coverdepth import cli, theorems
 from coverdepth.errors import InputError
 from coverdepth.graphs import Graph, isolated_vertices
 from coverdepth.homology import F2, RATIONALS
 from coverdepth.theorems import (
+    THEOREM_IDS,
     StabilityReport,
     VerificationOutcome,
     clique_partitions,
@@ -274,6 +277,41 @@ def test_run_corpus_subset_and_errors():
         run_corpus(max_vertices=3, theorems=("nope",))
     with pytest.raises(InputError):
         run_corpus(max_vertices=3, jobs=0)
+
+
+def test_verifier_calls_bind_late(monkeypatch, tmp_path, capsys):
+    """Corpus sweeps and single-graph CLI runs call theorems.verify_* as
+    looked up at call time, so wrappers set on the module see every
+    outcome."""
+    seen = []
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            seen.append(fn(*args, **kwargs))
+            return seen[-1]
+
+        return wrapper
+
+    names = [name for name in vars(theorems) if name.startswith("verify_")]
+    assert len(names) == len(THEOREM_IDS)
+    for name in names:
+        monkeypatch.setattr(theorems, name, counting(getattr(theorems, name)))
+
+    out = run_corpus(max_vertices=3, k_max=2, jobs=1)
+    assert len(seen) == len(out)
+    assert all(a is b for a, b in zip(out, seen))
+
+    seen.clear()
+    graph = tmp_path / "k3.txt"
+    graph.write_text("n 3\n1 2\n1 3\n2 3\n")
+    partition = tmp_path / "pi.txt"
+    partition.write_text("1 2\n3\n")
+    argv = ["verify", "all", "--graph", str(graph), "--partition", str(partition),
+            "--max-k", "2", "--format", "json"]
+    assert cli.main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(report) == 5
+    assert report == json.loads(report_to_json(seen))
 
 
 def test_report_formats():
