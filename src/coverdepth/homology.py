@@ -20,7 +20,15 @@ results:
   homology over a field;
 * component homology is memoized per field under the component's adjacency
   bitmasks, relabelled 0..m-1 in increasing vertex order; the key is exact,
-  so equal keys are equal labelled graphs.
+  so equal keys are equal labelled graphs;
+* `betti_table_squarefree` evaluates Hochster's subset sum by one of three
+  branches, tried in this order: a quadric Alexander dual (cover ideals)
+  turns it, by duality, into a sweep over the independent sets of the dual
+  graph; a quadric ideal (edge ideals) makes each restricted complex the
+  independence complex of an induced subgraph (Hochster's formula for edge
+  ideals); only the remaining ideals enumerate faces and build boundary
+  matrices, skipping subsets whose restricted complex is a cone. The first
+  two branches go through the fold, join and memo above.
 """
 
 from __future__ import annotations
@@ -385,14 +393,24 @@ def betti_table_squarefree(
     guard: int | None = None,
 ) -> BettiTable:
     """Betti table of the quotient by a squarefree ideal: homology of the
-    restricted Stanley-Reisner complexes, summed over vertex subsets.
+    restricted Stanley-Reisner complexes, summed over vertex subsets
+    (Hochster's formula). Three branches evaluate that one sum:
 
-    When every generator of the Alexander dual is a quadric, the subset sum
-    is reorganized through duality into a sweep over independent sets W of
-    the dual graph H, each contributing homology of the independence complex
-    of H minus the closed neighborhood of W in degree i-2. Both forms are
-    the same sum; the reorganized one never enumerates subsets with vanishing
-    contributions. The guard bounds the number of swept vertices.
+    * quadric dual: when every generator of the Alexander dual is a
+      quadric, the sum is reorganized through duality into a sweep over
+      independent sets W of the dual graph H, each contributing homology of
+      the independence complex of H minus the closed neighborhood of W in
+      degree i-2; it never enumerates subsets with vanishing contributions;
+    * quadric ideal: when every generator is a quadric, the ideal is the
+      edge ideal of a graph G on the active variables and the restricted
+      complex on a subset is the independence complex of the induced
+      subgraph, so beta_{i,j} sums dim H~_{j-i-1}(Ind(G[sigma])) over
+      subsets sigma of size j;
+    * generic: faces of every restricted complex are enumerated and its
+      homology read off boundary-matrix ranks; subsets whose complex is a
+      cone are skipped.
+
+    The guard bounds the number of swept vertices.
     """
     if not is_squarefree(ideal):
         raise InputError("Betti table via complexes needs a squarefree ideal")
@@ -429,8 +447,19 @@ def betti_table_squarefree(
                 counts[_hochster_position(j, j - d - 3)] += c
         return _betti_from_counts(ideal.ring.num_vars, counts)
 
-    # generic subset sweep with cone pruning
     gen_supports = [frozenset(support(m)) for m in ideal.sorted_gens()]
+    if all(len(s) == 2 for s in gen_supports):
+        # edge ideal: each restricted complex is the independence complex of
+        # the induced subgraph on that subset (Hochster's formula)
+        adj = _adjacency_from_pairs(
+            gen_supports, {v: i for i, v in enumerate(sweep)}
+        )
+        for mask in range(1, 1 << len(sweep)):
+            for d, c in _ind_dims(adj, mask, f.char).items():
+                counts[_hochster_position(mask.bit_count(), d)] += c
+        return _betti_from_counts(ideal.ring.num_vars, counts)
+
+    # generic subset sweep with cone pruning
     for mask in range(1, 1 << len(sweep)):
         sigma = frozenset(sweep[i] for i in iter_bits(mask))
         inside = [s for s in gen_supports if s <= sigma]
@@ -460,20 +489,23 @@ def taylor_betti_oracle(
     gens = ideal.sorted_gens()
     check_guard(len(gens), guard, DEFAULT_TAYLOR_GUARD,
                 "{cost} generators exceed the guard {limit}")
-    zero = tuple([0] * ideal.ring.num_vars)
-
-    def lcm_of(subset: tuple[int, ...]) -> tuple[int, ...]:
-        exps = list(zero)
-        for idx in subset:
-            exps = [max(a, b) for a, b in zip(exps, gens[idx])]
-        return tuple(exps)
-
     strands: dict[tuple, dict[int, list[tuple[int, ...]]]] = defaultdict(
         lambda: defaultdict(list)
     )
-    for size in range(len(gens) + 1):
-        for subset in itertools.combinations(range(len(gens)), size):
-            strands[lcm_of(subset)][size].append(subset)
+    # Depth-first over subsets in prefix order: each size's subsets come in
+    # the lexicographic order of itertools.combinations, and a subset's LCM
+    # is its parent's (the subset without its last index) joined with the
+    # last generator. The stack is explicit because a recursive closure's
+    # reference cycle would keep `strands` alive until the next collection;
+    # each LCM is built from a list because a tuple grown from an iterator
+    # is resized, and freed resized tuples pile up on the tuple free list.
+    stack = [((), tuple([0] * ideal.ring.num_vars))]
+    while stack:
+        subset, lcm = stack.pop()
+        strands[lcm][len(subset)].append(subset)
+        for idx in reversed(range(subset[-1] + 1 if subset else 0, len(gens))):
+            lcm_up = tuple([max(a, b) for a, b in zip(lcm, gens[idx])])
+            stack.append((subset + (idx,), lcm_up))
 
     counts: dict[tuple[int, int], int] = defaultdict(int)
     for degree, by_size in sorted(strands.items()):

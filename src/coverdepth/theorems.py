@@ -157,6 +157,10 @@ def _pairs_json(pairs: Sequence) -> list:
     return [[list(a), list(b)] for a, b in pairs]
 
 
+def _no_isolated(g: Graph) -> bool:
+    return not isolated_vertices(g)
+
+
 def _require_no_isolated(g: Graph) -> None:
     bad = isolated_vertices(g)
     if bad:
@@ -533,7 +537,9 @@ class Verifier:
     with `takes_partition` is given every clique partition of the base
     graphs on up to WHISKER_BASE_LIMIT vertices (isolated vertices allowed)
     and needs a partition in single-graph mode; every other entry is given
-    the graphs without isolated vertices that `accepts`.
+    the graphs that `accepts`. The corpus has no isolated vertices; a
+    verifier that rejects them says so in `accepts`, so that a run of all
+    verifiers on one such graph skips it instead of stopping.
     """
 
     call: Callable[..., VerificationOutcome]
@@ -548,18 +554,27 @@ class Verifier:
 # The calls name verify_* at call time, not as captured function objects,
 # so wrappers installed on this module's attributes see every call.
 VERIFIERS: dict[str, Verifier] = {
-    "main": Verifier(lambda g, pi, k_max, f, guard: verify_main(g, 1, f, guard)),
+    "main": Verifier(
+        lambda g, pi, k_max, f, guard: verify_main(g, 1, f, guard),
+        accepts=_no_isolated,
+    ),
     "whisker": Verifier(
         lambda g, pi, k_max, f, guard: verify_whisker(g, pi, k_max, f, guard),
         takes_partition=True,
     ),
-    "regind": Verifier(lambda g, pi, k_max, f, guard: verify_regind(g, f, guard)),
+    "regind": Verifier(
+        lambda g, pi, k_max, f, guard: verify_regind(g, f, guard),
+        accepts=_no_isolated,
+    ),
     "regupper": Verifier(lambda g, pi, k_max, f, guard: verify_reg_upper(g, f, guard)),
     "bipartite": Verifier(
         lambda g, pi, k_max, f, guard: verify_bipartite(g, k_max, f, guard),
-        accepts=lambda g: is_bipartite(g)[0],
+        accepts=lambda g: _no_isolated(g) and is_bipartite(g)[0],
     ),
-    "proofmatch": Verifier(lambda g, pi, k_max, f, guard: verify_proof_matchings(g, f)),
+    "proofmatch": Verifier(
+        lambda g, pi, k_max, f, guard: verify_proof_matchings(g, f),
+        accepts=_no_isolated,
+    ),
 }
 
 THEOREM_IDS = tuple(VERIFIERS)

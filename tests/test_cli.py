@@ -215,6 +215,18 @@ def test_verify_single_graph(files, capsys):
     assert main(["verify", "main", "--graph", str(iso)]) == 2
     capsys.readouterr()
 
+    # under `all`, the verifiers that reject isolated vertices are left out
+    # (main, regind, bipartite, proofmatch), as in the corpus sweep
+    assert main(["verify", "all", "--graph", str(iso)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines[:-1]] == ["regupper"]
+    assert lines[-1] == "passed 1 failed 0 skipped 0"
+    pi = files["dir"] / "pi.txt"
+    pi.write_text("1 2\n3\n")
+    assert main(["verify", "all", "--graph", str(iso), "--partition", str(pi)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines[:-1]] == ["whisker", "regupper"]
+
 
 def test_verify_whisker_single(files, capsys):
     pi = files["dir"] / "pi.txt"

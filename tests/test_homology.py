@@ -8,6 +8,8 @@ strand-by-strand. Frozen values below were cross-checked between the two.
 from __future__ import annotations
 
 import itertools
+import random
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -317,6 +319,80 @@ def test_taylor_handles_non_squarefree():
 def test_betti_matches_taylor_on_edge_and_cover_ideals(g, f):
     for ideal in (edge_ideal(g), cover_ideal(g)):
         assert betti_table_squarefree(ideal, f) == taylor_betti_oracle(ideal, f)
+
+
+def _plain_hochster_table(g: Graph, f: FieldChoice) -> BettiTable:
+    """Betti table of S/I(g) by Hochster's formula with no fold, join or
+    memo: plain face enumeration of the restricted complex on every vertex
+    subset sigma, its degree-d homology added at (|sigma| - d - 1, |sigma|)."""
+    counts: dict[tuple[int, int], int] = defaultdict(int)
+    for size in range(g.n + 1):
+        for sigma in itertools.combinations(range(1, g.n + 1), size):
+            inside = [e for e in g.edges if set(e) <= set(sigma)]
+            faces = homology._faces_by_dim(sigma, inside)
+            for d, c in homology._dims_from_faces(faces, f.char).items():
+                if c:
+                    counts[(size - d - 1, size)] += c
+    return BettiTable(g.n, tuple(sorted((i, j, b) for (i, j), b in counts.items())))
+
+
+def _seeded_graphs(seed: int, sizes) -> list[Graph]:
+    rng = random.Random(seed)
+    return [
+        Graph(n, tuple(e for e in itertools.combinations(range(1, n + 1), 2)
+                       if rng.random() < 0.4))
+        for n in sizes
+    ]
+
+
+def test_edge_ideal_betti_matches_plain_hochster_with_cold_memo():
+    """The edge-ideal branch (fold, component join, memo) against a plain
+    Hochster sum, on every labelled graph with at most five vertices and a
+    seeded handful on seven to nine vertices, over Q and F2. The memo starts
+    empty, so every key is built here and every hit is checked."""
+    homology._COMPONENT_DIMS.clear()
+    graphs = [g for n in range(1, 6) for g in enumerate_graphs(n)]
+    graphs += _seeded_graphs(11, (7, 7, 8, 8, 9, 9))
+    for f in (RATIONALS, F2):
+        for g in graphs:
+            assert betti_table_squarefree(edge_ideal(g), f) == (
+                _plain_hochster_table(g, f)
+            ), (g, f)
+    assert homology._COMPONENT_DIMS
+
+
+def test_betti_branch_reach(monkeypatch):
+    """Edge ideals sweep every nonempty vertex subset through _ind_dims and
+    never enumerate faces; cover ideals sweep the independent sets of the
+    dual graph; an ideal with a non-quadric generator on both sides takes
+    the generic face sweep."""
+    calls = {"_faces_by_dim": 0, "_ind_dims": 0}
+
+    def counting(name):
+        inner = getattr(homology, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(homology, name, wrapper)
+
+    counting("_faces_by_dim")
+    counting("_ind_dims")
+
+    def reach(ideal):
+        calls.update(dict.fromkeys(calls, 0))
+        betti_table_squarefree(ideal)
+        return calls["_faces_by_dim"], calls["_ind_dims"]
+
+    # I(C5): the dual, the cover ideal, has cubic generators
+    assert reach(edge_ideal(cycle(5))) == (0, 2 ** 5 - 1)
+    # J(C5): one sweep step per independent set of C5 (1 + 5 + 5)
+    assert reach(cover_ideal(cycle(5))) == (0, 11)
+    # (x1x2, x2x3x4): mixed degrees, dual (x2, x1x3, x1x4) mixed as well
+    mixed = monomial_ideal(base_ring(4), [(1, 1, 0, 0), (0, 1, 1, 1)])
+    faces, ind = reach(mixed)
+    assert faces > 0 and ind == 0
 
 
 @given(c=small_complexes(), f=st.sampled_from([RATIONALS, F2]))
