@@ -24,6 +24,7 @@ from .errors import (
     GuardError,
     InputError,
     ParseError,
+    check_guard,
     guard_override_enabled,
 )
 from .graphs import (
@@ -249,10 +250,8 @@ def _render_invariants_text(rep: dict) -> str:
 def cmd_invariants(args, cfg: CliConfig) -> int:
     _reject_csv(cfg)
     g = _load_graph(args.graph)
-    if g.n > DEFAULT_ENUM_GUARD:
-        raise GuardError(
-            f"invariant search on {g.n} vertices exceeds guard {DEFAULT_ENUM_GUARD}"
-        )
+    check_guard(g.n, None, DEFAULT_ENUM_GUARD,
+                "invariant search on {cost} vertices exceeds guard {limit}")
     rep = invariants_report(g)
     text = _json_text(rep) if cfg.format == "json" else _render_invariants_text(rep)
     _emit(text, args.output)

@@ -1,7 +1,8 @@
 """Finite simple graphs and the matching invariants of the toolkit.
 
 Vertices are the integers 1..n. Edges are unordered pairs stored as sorted
-tuples. Everything is immutable and hashable so results can be memoized.
+tuples. A graph is immutable and carries its neighbour bitmasks (`adj`),
+built once from the edges; every search below runs on those masks.
 
 The matching zoo implemented here:
 
@@ -20,10 +21,10 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 
-from .errors import DEFAULT_ENUM_GUARD, ConsistencyError, GuardError, InputError
+from ._bits import iter_bits
+from .errors import DEFAULT_ENUM_GUARD, ConsistencyError, InputError, check_guard
 
 # Ordering-compatible sentinel for "no such matching exists".
 NEG_INF = float("-inf")
@@ -34,28 +35,37 @@ Pair = tuple[int, int]
 
 @dataclass(frozen=True)
 class Graph:
-    """A simple undirected graph on vertices 1..n."""
+    """A simple undirected graph on vertices 1..n. `adj[i]` is the neighbour
+    bitmask of vertex i + 1 (bit j for vertex j + 1), derived from the edges
+    and so left out of equality, hashing and repr."""
 
     n: int
     edges: frozenset[Edge]
+    adj: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise InputError("graph needs at least one vertex")
         # normalize the container so equality and hashing see only the edge
         # set, not whether a tuple or frozenset was passed in
-        object.__setattr__(self, "edges", frozenset(tuple(e) for e in self.edges))
-        for e in self.edges:
-            u, v = e
+        edges = frozenset(_pair(e) for e in self.edges)
+        adj = [0] * self.n
+        for u, v in edges:
             if not (1 <= u < v <= self.n):
-                raise InputError(f"bad edge {e!r} for n={self.n}")
+                raise InputError(f"bad edge {(u, v)!r} for n={self.n}")
+            adj[u - 1] |= 1 << (v - 1)
+            adj[v - 1] |= 1 << (u - 1)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "adj", tuple(adj))
 
     @property
     def vertices(self) -> range:
         return range(1, self.n + 1)
 
     def degree(self, v: int) -> int:
-        return len(adjacency(self)[v])
+        if not 1 <= v <= self.n:
+            raise InputError(f"vertex {v} out of range")
+        return self.adj[v - 1].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
@@ -64,54 +74,45 @@ class Graph:
         return sorted(self.edges)
 
 
+def _pair(e) -> Edge:
+    """The two endpoints of an edge; InputError unless they are ints."""
+    try:
+        u, v = e
+    except (TypeError, ValueError):
+        raise InputError(f"edge {e!r} is not a pair of vertices") from None
+    if not (isinstance(u, int) and isinstance(v, int)):
+        raise InputError(f"edge {e!r} needs integer endpoints")
+    return u, v
+
+
 def graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
     """Build a :class:`Graph`, normalizing and validating the edge list."""
     normalized = set()
     for e in edges:
-        u, v = e
+        u, v = _pair(e)
         if u == v:
             raise InputError(f"loop at vertex {u} is not allowed")
         normalized.add((min(u, v), max(u, v)))
     return Graph(n, frozenset(normalized))
 
 
-@lru_cache(maxsize=None)
-def adjacency(g: Graph) -> dict[int, frozenset[int]]:
-    """Neighbor sets, keyed by vertex."""
-    nbrs: dict[int, set[int]] = {v: set() for v in g.vertices}
-    for u, v in g.edges:
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-    return {v: frozenset(s) for v, s in nbrs.items()}
-
-
-@lru_cache(maxsize=None)
-def adjacency_masks(g: Graph) -> tuple[int, ...]:
-    """Neighbor bitmasks; bit i stands for vertex i+1. Index 0 is vertex 1."""
-    masks = [0] * g.n
-    for u, v in g.edges:
-        masks[u - 1] |= 1 << (v - 1)
-        masks[v - 1] |= 1 << (u - 1)
-    return tuple(masks)
-
-
 def isolated_vertices(g: Graph) -> list[int]:
-    adj = adjacency(g)
-    return [v for v in g.vertices if not adj[v]]
+    return [v for v in g.vertices if not g.adj[v - 1]]
 
 
 def is_independent(g: Graph, vertices: Iterable[int]) -> bool:
     """True when no two of the given vertices are adjacent."""
-    vs = list(vertices)
-    for v in vs:
+    mask = 0
+    for v in vertices:
         if not 1 <= v <= g.n:
             raise InputError(f"vertex {v} out of range")
-    return not any(g.has_edge(u, v) for u, v in itertools.combinations(vs, 2))
+        mask |= 1 << (v - 1)
+    return not any(g.adj[v] & mask for v in iter_bits(mask))
 
 
 def independence_number(g: Graph) -> int:
     """alpha(G), by branch and bound over neighbor bitmasks."""
-    masks = adjacency_masks(g)
+    masks = g.adj
     best = 0
 
     def extend(candidates: int, size: int) -> None:
@@ -131,10 +132,11 @@ def independence_number(g: Graph) -> int:
 
 
 def _edges_compatible(g: Graph, e: Edge, f: Edge) -> bool:
-    """Disjoint and spanning no cross edge: the induced-matching condition."""
-    if set(e) & set(f):
-        return False
-    return not any(g.has_edge(u, v) for u in e for v in f)
+    """Disjoint and spanning no cross edge: the induced-matching condition,
+    i.e. f misses the closed neighbourhood of e."""
+    (a, b), (c, d) = e, f
+    closed = g.adj[a - 1] | g.adj[b - 1] | 1 << (a - 1) | 1 << (b - 1)
+    return not closed & (1 << (c - 1) | 1 << (d - 1))
 
 
 def induced_matching_number(g: Graph) -> int:
@@ -242,38 +244,38 @@ def _search_ordered(
     for all i >= r + 2 - s; both follow from the index conditions, so every
     target matching is reachable in its own order and the search is exact.
     Deterministic: edges ascending, orientation (u,v) before (v,u).
+    Vertex sets are bitmasks over `g.adj`; `b_side` stays 0 unless the
+    b-side must be independent.
     """
-    edges = g.sorted_edges()
-    adj = adjacency(g)
+    edges = [(u, v, 1 << (u - 1) | 1 << (v - 1)) for u, v in g.sorted_edges()]
+    adj = g.adj
     best_size = 0
     best_cert: list[Pair] | None = None
 
-    def extend(pairs: list[Pair], used: set[int]) -> None:
+    def extend(pairs: list[Pair], used: int, b_side: int) -> None:
         nonlocal best_size, best_cert
-        if len(pairs) > best_size:
-            best_size = len(pairs)
-            best_cert = list(pairs)
         r = len(pairs)
-        for u, v in edges:
-            if u in used or v in used:
+        if r > best_size:
+            best_size = r
+            best_cert = list(pairs)
+        blocked_b = b_side  # plus the late a-side: a_i for i >= r + 2 - s
+        for a_i, _ in pairs[max(0, r + 1 - s):]:
+            blocked_b |= 1 << (a_i - 1)
+        for u, v, uv in edges:
+            if used & uv:
                 continue
             for a, b in ((u, v), (v, u)):
-                if any(x in adj[a] for x in used):
-                    continue
-                lo = max(1, r + 2 - s)
-                if any(pairs[i - 1][0] in adj[b] for i in range(lo, r + 1)):
-                    continue
-                if b_side_independent and any(
-                    pb in adj[b] for _, pb in pairs
-                ):
+                if adj[a - 1] & used or adj[b - 1] & blocked_b:
                     continue
                 pairs.append((a, b))
-                used.update((a, b))
-                extend(pairs, used)
-                used.difference_update((a, b))
+                extend(
+                    pairs,
+                    used | uv,
+                    b_side | 1 << (b - 1) if b_side_independent else 0,
+                )
                 pairs.pop()
 
-    extend([], set())
+    extend([], 0, 0)
     return best_size, best_cert
 
 
@@ -326,41 +328,38 @@ def whisker(g: Graph, partition: Sequence[Iterable[int]]) -> Graph:
 
 
 def is_bipartite(g: Graph) -> tuple[bool, dict[int, int] | None]:
-    """Two-color by BFS; returns (True, coloring) or (False, None)."""
-    adj = adjacency(g)
-    color: dict[int, int] = {}
-    for start in g.vertices:
-        if start in color:
+    """Two-color by BFS layers; returns (True, coloring) or (False, None).
+    A vertex's color is the parity of its distance from the smallest vertex
+    of its component; bipartite iff no edge joins equal parities."""
+    sides = [0, 0]
+    seen = 0
+    for start in range(g.n):
+        if seen >> start & 1:
             continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            v = queue.pop(0)
-            for w in adj[v]:
-                if w not in color:
-                    color[w] = 1 - color[v]
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return False, None
-    return True, color
+        frontier, parity = 1 << start, 0
+        while frontier:
+            sides[parity] |= frontier
+            seen |= frontier
+            grown = 0
+            for v in iter_bits(frontier):
+                grown |= g.adj[v]
+            frontier = grown & ~seen
+            parity ^= 1
+    if any(g.adj[v] & side for side in sides for v in iter_bits(side)):
+        return False, None
+    return True, {v + 1: 0 if sides[0] >> v & 1 else 1 for v in range(g.n)}
 
 
-def _is_connected(n: int, edges: frozenset[Edge]) -> bool:
-    if n == 1:
-        return True
-    nbrs: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
-    for u, v in edges:
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-    seen = {1}
-    stack = [1]
-    while stack:
-        v = stack.pop()
-        for w in nbrs[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == n
+def _is_connected(g: Graph) -> bool:
+    """Flood-fill from vertex 1 over the neighbour masks."""
+    comp = frontier = 1
+    while frontier:
+        grown = comp
+        for v in iter_bits(frontier):
+            grown |= g.adj[v]
+        frontier = grown & ~comp
+        comp = grown
+    return comp == (1 << g.n) - 1
 
 
 def all_pairs(n: int) -> list[Edge]:
@@ -372,23 +371,21 @@ def enumerate_graphs(
     *,
     connected: bool = False,
     no_isolated: bool = False,
-    guard: int = DEFAULT_ENUM_GUARD,
+    guard: int | None = None,
 ) -> Iterator[Graph]:
     """All labeled graphs on 1..n in edge-bitmask order, with filters."""
     if n < 1:
         raise InputError("n must be >= 1")
-    if n > guard:
-        raise GuardError(f"enumeration of {n}-vertex graphs exceeds guard {guard}")
+    check_guard(n, guard, DEFAULT_ENUM_GUARD,
+                "enumeration of {cost}-vertex graphs exceeds guard {limit}")
     pairs = all_pairs(n)
     for mask in range(1 << len(pairs)):
-        edges = frozenset(pairs[i] for i in range(len(pairs)) if mask >> i & 1)
-        if no_isolated:
-            touched = {v for e in edges for v in e}
-            if len(touched) != n:
-                continue
-        if connected and not _is_connected(n, edges):
+        g = Graph(n, frozenset(pairs[i] for i in range(len(pairs)) if mask >> i & 1))
+        if no_isolated and not all(g.adj):
             continue
-        yield Graph(n, edges)
+        if connected and not _is_connected(g):
+            continue
+        yield g
 
 
 def relabel(g: Graph, perm: dict[int, int]) -> Graph:
@@ -399,26 +396,22 @@ def relabel(g: Graph, perm: dict[int, int]) -> Graph:
 
 
 def _refinement_classes(g: Graph) -> list[list[int]]:
-    """Iterated neighbor-color refinement; classes ordered canonically."""
-    adj = adjacency(g)
-    colors = {v: g.degree(v) for v in g.vertices}
+    """Iterated neighbor-color refinement; classes ordered canonically. A
+    round only splits classes, so the partition is stable once its size is."""
+    colors = [a.bit_count() for a in g.adj]
     while True:
-        sigs = {
-            v: (colors[v], tuple(sorted(colors[u] for u in adj[v])))
-            for v in g.vertices
-        }
-        order = {sig: i for i, sig in enumerate(sorted(set(sigs.values())))}
-        new = {v: order[sigs[v]] for v in g.vertices}
-        same_partition = all(
-            (colors[u] == colors[v]) == (new[u] == new[v])
-            for u, v in itertools.combinations(g.vertices, 2)
-        )
-        colors = new
-        if same_partition:
+        sigs = [
+            (colors[v], tuple(sorted(colors[u] for u in iter_bits(a))))
+            for v, a in enumerate(g.adj)
+        ]
+        order = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        stable = len(order) == len(set(colors))
+        colors = [order[sig] for sig in sigs]
+        if stable:
             break
     classes: dict[int, list[int]] = {}
-    for v in sorted(g.vertices):
-        classes.setdefault(colors[v], []).append(v)
+    for v, c in enumerate(colors, start=1):
+        classes.setdefault(c, []).append(v)
     return [classes[c] for c in sorted(classes)]
 
 

@@ -46,7 +46,7 @@ from .errors import (
     InputError,
     check_guard,
 )
-from .graphs import Graph, adjacency_masks
+from .graphs import Graph
 from .ideals import (
     MonomialIdeal,
     alexander_dual,
@@ -576,7 +576,7 @@ def reg_edge_ideal(
         raise InputError("regularity of an edge ideal needs at least one edge")
     check_guard(g.n, guard, DEFAULT_HOCHSTER_GUARD,
                 "{cost} vertices exceed the guard {limit}")
-    return _reg_sweep(adjacency_masks(g), range(1 << g.n), f.char)
+    return _reg_sweep(g.adj, range(1 << g.n), f.char)
 
 
 def reg_edge_ideal_layered(gk: LayeredGraph, f: FieldChoice = RATIONALS) -> int:
@@ -591,7 +591,7 @@ def reg_edge_ideal_layered(gk: LayeredGraph, f: FieldChoice = RATIONALS) -> int:
     if not gk.edges:
         raise InputError("regularity of an edge ideal needs at least one edge")
     plain, labels = as_plain_graph(gk)
-    adj = adjacency_masks(plain)
+    adj = plain.adj
     columns: dict[int, list[int]] = defaultdict(list)
     for idx, (i, _p) in enumerate(labels):
         if adj[idx]:

@@ -17,7 +17,6 @@ k >= t.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import InputError
 from .graphs import (
@@ -78,7 +77,6 @@ def build_gk(g: Graph, k: int) -> LayeredGraph:
     return LayeredGraph(g.n, k, frozenset(edges))
 
 
-@lru_cache(maxsize=None)
 def as_plain_graph(gk: LayeredGraph) -> tuple[Graph, tuple[LayeredVertex, ...]]:
     """Relabel the grid to 1..n*k (grid order); returns the graph and the
     label tuple with labels[v-1] = (i, p)."""

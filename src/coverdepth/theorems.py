@@ -70,6 +70,13 @@ def stability_threshold(t: int, s: int) -> int:
     return 2 * t - 1 if s == 1 else 2 * t - 2 * s + 2
 
 
+def _stability(g: Graph) -> tuple[int, int, int]:
+    """(ordered matching number, largest stable s, stability threshold)."""
+    t, _ = ordered_matching_number(g)
+    s = largest_stable_s(g)
+    return t, s, stability_threshold(t, s)
+
+
 @dataclass(frozen=True)
 class StabilityReport:
     """Observed depth behaviour of symbolic cover-ideal powers of a graph.
@@ -221,9 +228,7 @@ def verify_main(
     _require_no_isolated(g)
     if k_extra < 0:
         raise InputError("k_extra must be >= 0")
-    t, _ = ordered_matching_number(g)
-    s = largest_stable_s(g)
-    threshold = stability_threshold(t, s)
+    t, s, threshold = _stability(g)
     limit = g.n - t - 1
     instance = {"graph": _graph_json(g), "k_extra": k_extra, "field": f.label}
     depths, guard_hit = _depths(g, range(1, threshold + k_extra + 1), f, guard)
@@ -315,9 +320,7 @@ def verify_regind(
     the layered graph satisfies the double equality
     reg(I(G_k)) = ind-match(G_k) + 1 = ord-match(g) + 1."""
     _require_no_isolated(g)
-    t, _ = ordered_matching_number(g)
-    s = largest_stable_s(g)
-    threshold = stability_threshold(t, s)
+    t, s, threshold = _stability(g)
     instance = {"graph": _graph_json(g), "field": f.label}
     checked: dict[str, dict] = {}
     failures = {}
@@ -426,8 +429,7 @@ def verify_proof_matchings(
     second endpoints form an independent set. A graph offering neither
     hypothesis is reported as skipped, not failed."""
     _require_no_isolated(g)
-    t, _ = ordered_matching_number(g)
-    s = largest_stable_s(g)
+    t, s, threshold = _stability(g)
     instance = {"graph": _graph_json(g), "field": f.label}
     details: dict = {"t": t, "s": s}
     failures = {}
@@ -435,11 +437,10 @@ def verify_proof_matchings(
 
     if s >= 2:
         _size, cert = _search_ordered(g, s)
-        k = stability_threshold(t, s)
-        matching = proof_matching_main(g, cert, s, k)
-        induced = is_induced_matching_layered(build_gk(g, k), matching)
+        matching = proof_matching_main(g, cert, s, threshold)
+        induced = is_induced_matching_layered(build_gk(g, threshold), matching)
         details["main"] = {
-            "k": k,
+            "k": threshold,
             "certificate": [list(p) for p in cert],
             "matching": _pairs_json(matching),
             "induced": induced,

@@ -45,7 +45,12 @@ def brute_induced_matching(n: int, edges: set[tuple[int, int]]) -> int:
     return best
 
 
-def _ordered_ok(edges: set[tuple[int, int]], pairs: list[tuple[int, int]], s: int) -> bool:
+def _ordered_ok(
+    edges: set[tuple[int, int]],
+    pairs: list[tuple[int, int]],
+    s: int,
+    b_independent: bool = False,
+) -> bool:
     def adj(u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in edges
 
@@ -55,6 +60,10 @@ def _ordered_ok(edges: set[tuple[int, int]], pairs: list[tuple[int, int]], s: in
     if any(not adj(a, b) for a, b in pairs):
         return False
     if any(adj(pairs[i][0], pairs[j][0]) for i in range(len(pairs)) for j in range(i)):
+        return False
+    if b_independent and any(
+        adj(pairs[i][1], pairs[j][1]) for i in range(len(pairs)) for j in range(i)
+    ):
         return False
     for i in range(1, len(pairs) + 1):
         for j in range(1, len(pairs) + 1):
@@ -66,9 +75,12 @@ def _ordered_ok(edges: set[tuple[int, int]], pairs: list[tuple[int, int]], s: in
     return True
 
 
-def brute_ordered_matching(n: int, edges: set[tuple[int, int]], s: int = 1):
+def brute_ordered_matching(
+    n: int, edges: set[tuple[int, int]], s: int = 1, b_independent: bool = False
+):
     """Max size over every oriented, ordered sequence of disjoint edges;
-    returns None (for -inf) when s > 1 admits nothing of size >= s."""
+    returns None (for -inf) when s > 1 admits nothing of size >= s. With
+    `b_independent`, the second endpoints must be pairwise non-adjacent."""
     es = sorted(edges)
     best = 0
     for r in range(1, n // 2 + 1):
@@ -83,7 +95,7 @@ def brute_ordered_matching(n: int, edges: set[tuple[int, int]], s: int = 1):
                         (e[1], e[0]) if flip else (e[0], e[1])
                         for e, flip in zip(order, orient)
                     ]
-                    if _ordered_ok(edges, pairs, s):
+                    if _ordered_ok(edges, pairs, s, b_independent):
                         found = True
                         break
                 if found:

@@ -8,6 +8,7 @@ random sample via hypothesis.
 from __future__ import annotations
 
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from coverdepth.errors import GuardError, InputError
 from coverdepth.graphs import (
     NEG_INF,
     Graph,
+    _search_ordered,
     all_pairs,
     are_isomorphic,
     canonical_form,
@@ -28,6 +30,7 @@ from coverdepth.graphs import (
     is_independent,
     is_ordered_matching,
     is_s_ordered_matching,
+    isolated_vertices,
     isomorphism_representatives,
     largest_stable_s,
     ordered_matching_number,
@@ -35,6 +38,7 @@ from coverdepth.graphs import (
     s_ordered_matching_number,
     whisker,
 )
+from coverdepth.layered import ordered_matching_b_independent
 
 from _oracles import (
     brute_alpha,
@@ -85,6 +89,12 @@ def test_graph_validation():
         graph(3, [(1, 4)])
     with pytest.raises(InputError):
         graph(3, [(2, 2)])
+    with pytest.raises(InputError):
+        Graph(2, [(1.0, 2.0)])
+    with pytest.raises(InputError):
+        Graph(3, [(1, 2, 3)])
+    with pytest.raises(InputError):
+        graph(3, [(1, 2, 3)])
     g = graph(3, [(2, 1)])
     assert g.has_edge(1, 2) and g.has_edge(2, 1)
     assert g.sorted_edges() == [(1, 2)]
@@ -97,6 +107,8 @@ def test_is_independent():
     assert not is_independent(g, [2, 3])
     with pytest.raises(InputError):
         is_independent(g, [0])
+    with pytest.raises(InputError):
+        g.degree(0)
 
 
 def test_independence_number_frozen():
@@ -317,3 +329,76 @@ def test_invariants_relabeling_invariant(data):
     assert ordered_matching_number(g)[0] == ordered_matching_number(h)[0]
     assert canonical_form(g) == canonical_form(h)
     assert are_isomorphic(g, h)
+
+
+# ---------------------------------------------------------------------------
+# exhaustive reference check of the mask-based searches
+# ---------------------------------------------------------------------------
+
+def _brute_bipartite(g: Graph) -> bool:
+    return any(
+        all(colors[u - 1] != colors[v - 1] for u, v in g.edges)
+        for colors in itertools.product((0, 1), repeat=g.n)
+    )
+
+
+def test_mask_searches_match_oracles_on_all_small_graphs():
+    """Every labelled graph on <= 5 vertices (1 099 of them): the searches
+    over neighbour masks agree with the brute oracles and with the edge set,
+    and every certificate they return is valid."""
+    graphs = [g for n in range(1, 6) for g in enumerate_graphs(n)]
+    assert len(graphs) == 1099
+    for g in graphs:
+        edges = set(g.edges)
+        nbrs = {v: {w for e in edges if v in e for w in e if w != v} for v in g.vertices}
+        assert g.adj == tuple(sum(1 << (w - 1) for w in nbrs[v]) for v in g.vertices)
+        assert [g.degree(v) for v in g.vertices] == [len(nbrs[v]) for v in g.vertices]
+        assert isolated_vertices(g) == [v for v in g.vertices if not nbrs[v]]
+        assert induced_matching_number(g) == brute_induced_matching(g.n, edges)
+
+        size, cert = ordered_matching_number(g)
+        assert size == brute_ordered_matching(g.n, edges, 1)
+        assert (cert is None) == (not edges)
+        if cert is not None:
+            assert len(cert) == size and is_ordered_matching(g, cert)
+        for s in (2, 3):
+            want = brute_ordered_matching(g.n, edges, s)
+            got = s_ordered_matching_number(g, s)
+            assert got == (NEG_INF if want is None else want)
+            size_s, cert_s = _search_ordered(g, s)
+            if want is not None:
+                assert len(cert_s) == size_s == want
+                assert is_s_ordered_matching(g, cert_s, s)
+        size_b, cert_b = ordered_matching_b_independent(g)
+        assert size_b == brute_ordered_matching(g.n, edges, 1, b_independent=True)
+        if cert_b is not None:
+            assert len(cert_b) == size_b and is_ordered_matching(g, cert_b)
+            assert is_independent(g, [b for _, b in cert_b])
+
+        ok, coloring = is_bipartite(g)
+        assert ok == _brute_bipartite(g)
+        if ok:
+            assert sorted(coloring) == list(g.vertices)
+            assert all(coloring[u] != coloring[v] for u, v in edges)
+        else:
+            assert coloring is None
+    # labelled connected graphs and graphs without isolated vertices
+    # (OEIS A001187 and A006129)
+    assert [len(list(enumerate_graphs(n, connected=True))) for n in range(1, 6)] == [
+        1, 1, 4, 38, 728
+    ]
+    assert [len(list(enumerate_graphs(n, no_isolated=True))) for n in range(1, 6)] == [
+        0, 1, 4, 41, 768
+    ]
+
+
+def test_adj_is_derived_state():
+    """The neighbour masks stay out of equality, hashing and repr, and
+    survive pickling."""
+    g = BULL
+    h = Graph(g.n, frozenset(g.edges))
+    object.__setattr__(h, "adj", (0,) * h.n)
+    assert h == g and hash(h) == hash(g)
+    assert "adj" not in repr(g)
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy == g and copy.adj == g.adj
