@@ -28,13 +28,10 @@ from .errors import (
     guard_override_enabled,
 )
 from .graphs import (
-    NEG_INF,
     Graph,
     independence_number,
     induced_matching_number,
-    largest_stable_s,
-    ordered_matching_number,
-    s_ordered_matching_number,
+    ordered_profile,
 )
 from .homology import F2, RATIONALS, FieldChoice, depth_symbolic_cover
 from .ideals import (
@@ -214,18 +211,16 @@ def _reject_csv(cfg: CliConfig) -> None:
 
 
 def invariants_report(g: Graph) -> dict:
-    t, cert = ordered_matching_number(g)
-    s_values = {}
-    for s in range(1, t + 2):
-        value = s_ordered_matching_number(g, s)
-        s_values[str(s)] = "-inf" if value == NEG_INF else value
+    profile = ordered_profile(g)
+    t, cert = profile.best(1)
+    s_values = {str(s): profile.best(s)[0] or "-inf" for s in range(1, t + 2)}
     return {
         "n": g.n,
         "alpha": independence_number(g),
         "ind_match": induced_matching_number(g),
         "ord_match": t,
         "s_ord_match": s_values,
-        "largest_stable_s": largest_stable_s(g) if t else None,
+        "largest_stable_s": profile.largest_stable_s() if t else None,
         "certificate": [list(p) for p in cert] if cert else None,
     }
 

@@ -15,6 +15,11 @@ The matching zoo implemented here:
   matching exists);
 * the largest stable s: the largest s with s-ordered matching number equal
   to the ordered matching number.
+
+One search, :func:`ordered_profile`, yields t, every s-ordered size with its
+certificate, and a largest ordered matching with independent b-side. This is
+exact: both conditions are inherited by prefixes, so a search restricted to
+either visits exactly the valid nodes of the plain search, in the same order.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 from ._bits import iter_bits
-from .errors import DEFAULT_ENUM_GUARD, ConsistencyError, InputError, check_guard
+from .errors import DEFAULT_ENUM_GUARD, InputError, check_guard
 
 # Ordering-compatible sentinel for "no such matching exists".
 NEG_INF = float("-inf")
@@ -200,20 +205,10 @@ def _check_matching_pairs(g: Graph, pairs: Sequence[Pair]) -> None:
 
 
 def is_ordered_matching(g: Graph, pairs: Sequence[Pair]) -> bool:
-    """Check the ordered-matching conditions for pairs (a_i, b_i).
-
-    The a-side must be independent and every edge {a_i, b_j} of G must have
-    i <= j. The empty sequence is trivially ordered.
-    """
-    _check_matching_pairs(g, pairs)
-    a_side = [a for a, _ in pairs]
-    if not is_independent(g, a_side):
-        return False
-    for i, (a, _) in enumerate(pairs):
-        for j, (_, b) in enumerate(pairs):
-            if g.has_edge(a, b) and i > j:
-                return False
-    return True
+    """Check the ordered-matching conditions for pairs (a_i, b_i): an
+    independent a-side and i <= j for every edge {a_i, b_j} of G, i.e. the
+    s-ordered conditions at s = 1. The empty sequence is trivially ordered."""
+    return not pairs or is_s_ordered_matching(g, pairs, 1)
 
 
 def is_s_ordered_matching(g: Graph, pairs: Sequence[Pair], s: int) -> bool:
@@ -222,88 +217,102 @@ def is_s_ordered_matching(g: Graph, pairs: Sequence[Pair], s: int) -> bool:
     if s < 1:
         raise InputError("s must be >= 1")
     _check_matching_pairs(g, pairs)
-    if len(pairs) < s:
+    if len(pairs) < s or not is_independent(g, [a for a, _ in pairs]):
         return False
-    a_side = [a for a, _ in pairs]
-    if not is_independent(g, a_side):
-        return False
-    for i, (a, _) in enumerate(pairs, start=1):
-        for j, (_, b) in enumerate(pairs, start=1):
-            if g.has_edge(a, b) and not (i == j or i <= j - s):
-                return False
-    return True
+    return not any(
+        g.has_edge(a, b) and not (i == j or i <= j - s)
+        for i, (a, _) in enumerate(pairs, start=1)
+        for j, (_, b) in enumerate(pairs, start=1)
+    )
 
 
-def _search_ordered(
-    g: Graph, s: int, b_side_independent: bool = False
-) -> tuple[int, list[Pair] | None]:
-    """Depth-first search for a maximum s-ordered matching (s=1: ordered).
+@dataclass(frozen=True)
+class OrderedProfile:
+    """One search's records, for s = 1..max(1, n // 2): `sizes[s - 1]` is the
+    largest s-ordered size (0 if none) and `certs[s - 1]` the first such
+    matching found; `b_independent` is the same for s = 1 and an independent
+    b-side."""
 
-    Appending pair r+1 = (a, b) to a valid prefix of length r stays valid
-    iff a is non-adjacent to every used vertex and b is non-adjacent to a_i
-    for all i >= r + 2 - s; both follow from the index conditions, so every
-    target matching is reachable in its own order and the search is exact.
-    Deterministic: edges ascending, orientation (u,v) before (v,u).
-    Vertex sets are bitmasks over `g.adj`; `b_side` stays 0 unless the
-    b-side must be independent.
+    sizes: tuple[int, ...]
+    certs: tuple[list[Pair] | None, ...]
+    b_independent: tuple[int, list[Pair] | None]
+
+    def best(self, s: int) -> tuple[int, list[Pair] | None]:
+        """(size, certificate) of a largest s-ordered matching; (0, None) if none."""
+        if s > len(self.sizes):
+            return 0, None
+        return self.sizes[s - 1], self.certs[s - 1]
+
+    def largest_stable_s(self) -> int:
+        """Largest s whose s-ordered size is still t; errors on edgeless graphs."""
+        if not self.sizes[0]:
+            raise InputError("largest stable s needs at least one edge")
+        return self.sizes.count(self.sizes[0])  # sizes do not increase with s
+
+
+def ordered_profile(g: Graph) -> OrderedProfile:
+    """Depth-first search over ordered matchings, recorded for every s.
+
+    Appending (a, b) to an ordered prefix keeps it ordered iff a misses every
+    used vertex, so each ordered matching is reached in its own order. Nodes
+    come in preorder (edges ascending, (u,v) before (v,u)); each carries its
+    smallest gap j - i over edges {a_i, b_j} with i < j (it is s-ordered iff
+    gap >= s and size >= s) and its b-side mask, -1 once that side is not
+    independent. Vertex sets are bitmasks over `g.adj`.
     """
     edges = [(u, v, 1 << (u - 1) | 1 << (v - 1)) for u, v in g.sorted_edges()]
     adj = g.adj
-    best_size = 0
-    best_cert: list[Pair] | None = None
+    top = max(1, g.n // 2)  # no matching is larger, so no gap is either
+    sizes, certs = [0] * top, [None] * top
+    b_best: tuple[int, list[Pair] | None] = (0, None)
 
-    def extend(pairs: list[Pair], used: int, b_side: int) -> None:
-        nonlocal best_size, best_cert
+    def extend(pairs: list[Pair], used: int, a_side: int, gap: int, b_side: int):
+        nonlocal b_best
         r = len(pairs)
-        if r > best_size:
-            best_size = r
-            best_cert = list(pairs)
-        blocked_b = b_side  # plus the late a-side: a_i for i >= r + 2 - s
-        for a_i, _ in pairs[max(0, r + 1 - s):]:
-            blocked_b |= 1 << (a_i - 1)
+        s = gap if gap < r else r
+        while s and sizes[s - 1] < r:  # recorded sizes do not increase with s
+            sizes[s - 1], certs[s - 1] = r, list(pairs)
+            s -= 1
+        if b_side >= 0 and r > b_best[0]:
+            b_best = (r, list(pairs))
         for u, v, uv in edges:
             if used & uv:
                 continue
             for a, b in ((u, v), (v, u)):
-                if adj[a - 1] & used or adj[b - 1] & blocked_b:
+                if adj[a - 1] & used:
                     continue
+                nb, new_gap = adj[b - 1], gap
+                if nb & a_side:  # the latest a_i adjacent to b sets the gap
+                    i = r
+                    while not nb >> (pairs[i - 1][0] - 1) & 1:
+                        i -= 1
+                    new_gap = min(gap, r + 1 - i)
+                b_next = -1 if b_side < 0 or nb & b_side else b_side | 1 << (b - 1)
                 pairs.append((a, b))
-                extend(
-                    pairs,
-                    used | uv,
-                    b_side | 1 << (b - 1) if b_side_independent else 0,
-                )
+                extend(pairs, used | uv, a_side | 1 << (a - 1), new_gap, b_next)
                 pairs.pop()
 
-    extend([], 0, 0)
-    return best_size, best_cert
+    extend([], 0, 0, top, 0)
+    return OrderedProfile(tuple(sizes), tuple(certs), b_best)
 
 
 def ordered_matching_number(g: Graph) -> tuple[int, list[Pair] | None]:
     """Maximum size of an ordered matching, with one witnessing certificate
     (None when the graph has no edges)."""
-    size, cert = _search_ordered(g, s=1)
-    return size, cert
+    return ordered_profile(g).best(1)
 
 
 def s_ordered_matching_number(g: Graph, s: int):
     """Maximum size of an s-ordered matching, or -inf when none exists."""
     if s < 1:
         raise InputError("s must be >= 1")
-    size, _ = _search_ordered(g, s=s)
-    return size if size >= s else NEG_INF
+    return ordered_profile(g).best(s)[0] or NEG_INF
 
 
 def largest_stable_s(g: Graph) -> int:
     """Largest s for which the s-ordered matching number still equals the
     ordered matching number t. Always in 1..t; errors on edgeless graphs."""
-    t, _ = ordered_matching_number(g)
-    if t == 0:
-        raise InputError("largest stable s needs at least one edge")
-    for s in range(t, 0, -1):
-        if s_ordered_matching_number(g, s) == t:
-            return s
-    raise ConsistencyError("s=1 must reproduce the ordered matching number")
+    return ordered_profile(g).largest_stable_s()
 
 
 def whisker(g: Graph, partition: Sequence[Iterable[int]]) -> Graph:
@@ -421,17 +430,10 @@ def canonical_form(g: Graph) -> tuple[int, tuple[Edge, ...]]:
     dedupe only (`isomorphism_representatives`, `are_isomorphic`); the
     homology memo keys on exact relabelled adjacency instead."""
     classes = _refinement_classes(g)
-    offsets = []
-    pos = 1
-    for cls in classes:
-        offsets.append(pos)
-        pos += len(cls)
     best: tuple[Edge, ...] | None = None
     for perms in itertools.product(*(itertools.permutations(c) for c in classes)):
-        mapping: dict[int, int] = {}
-        for cls_perm, off in zip(perms, offsets):
-            for i, v in enumerate(cls_perm):
-                mapping[v] = off + i
+        # the classes keep their order, each taking the next block of labels
+        mapping = {v: i for i, v in enumerate(itertools.chain(*perms), start=1)}
         candidate = tuple(
             sorted(
                 (min(mapping[u], mapping[v]), max(mapping[u], mapping[v]))

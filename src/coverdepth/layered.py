@@ -26,8 +26,8 @@ from .graphs import (
     is_ordered_matching,
     is_s_ordered_matching,
     ordered_matching_number,
+    ordered_profile,
 )
-from .graphs import _search_ordered  # deterministic certificate search
 from .ideals import (
     MonomialIdeal,
     equal,
@@ -169,7 +169,7 @@ def ordered_matching_b_independent(g: Graph) -> tuple[int, list | None]:
     """Maximum ordered matching whose b-side is also independent, with a
     deterministic certificate; supplies the hypothesis of the bipartite
     proof-matching construction."""
-    return _search_ordered(g, s=1, b_side_independent=True)
+    return ordered_profile(g).b_independent
 
 
 def proof_matching_bipartite(g: Graph, cert, k: int) -> list[LayeredEdge]:

@@ -26,17 +26,17 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import GuardError, InputError
 from .graphs import (
+    NEG_INF,
     Graph,
-    _search_ordered,
+    OrderedProfile,
     enumerate_graphs,
     independence_number,
     induced_matching_number,
     is_bipartite,
     isolated_vertices,
     isomorphism_representatives,
-    largest_stable_s,
     ordered_matching_number,
-    s_ordered_matching_number,
+    ordered_profile,
     whisker,
 )
 from .homology import (
@@ -52,7 +52,6 @@ from .layered import (
     as_plain_graph,
     build_gk,
     is_induced_matching_layered,
-    ordered_matching_b_independent,
     proof_matching_bipartite,
     proof_matching_main,
 )
@@ -70,11 +69,12 @@ def stability_threshold(t: int, s: int) -> int:
     return 2 * t - 1 if s == 1 else 2 * t - 2 * s + 2
 
 
-def _stability(g: Graph) -> tuple[int, int, int]:
-    """(ordered matching number, largest stable s, stability threshold)."""
-    t, _ = ordered_matching_number(g)
-    s = largest_stable_s(g)
-    return t, s, stability_threshold(t, s)
+def _stability(g: Graph) -> tuple[int, int, int, OrderedProfile]:
+    """(ordered matching number, largest stable s, stability threshold, and
+    the profile they were read from)."""
+    profile = ordered_profile(g)
+    t, s = profile.best(1)[0], profile.largest_stable_s()
+    return t, s, stability_threshold(t, s), profile
 
 
 @dataclass(frozen=True)
@@ -228,7 +228,7 @@ def verify_main(
     _require_no_isolated(g)
     if k_extra < 0:
         raise InputError("k_extra must be >= 0")
-    t, s, threshold = _stability(g)
+    t, s, threshold, _ = _stability(g)
     limit = g.n - t - 1
     instance = {"graph": _graph_json(g), "k_extra": k_extra, "field": f.label}
     depths, guard_hit = _depths(g, range(1, threshold + k_extra + 1), f, guard)
@@ -283,11 +283,12 @@ def verify_whisker(
         "k_max": k_max,
         "field": f.label,
     }
-    t_w, _ = ordered_matching_number(w)
+    profile = ordered_profile(w)
+    t_w, _ = profile.best(1)
     failures = {}
     if t_w != m:
         failures["ord_match"] = {"expected": m, "computed": t_w}
-    s_w = s_ordered_matching_number(w, m)
+    s_w = profile.best(m)[0] or NEG_INF
     if s_w != m:
         failures["m_ordered_certificate"] = {"expected": m, "computed": s_w}
     depths, guard_hit = _depths(w, range(1, k_max + 1), f, guard)
@@ -320,7 +321,7 @@ def verify_regind(
     the layered graph satisfies the double equality
     reg(I(G_k)) = ind-match(G_k) + 1 = ord-match(g) + 1."""
     _require_no_isolated(g)
-    t, s, threshold = _stability(g)
+    t, s, threshold, _ = _stability(g)
     instance = {"graph": _graph_json(g), "field": f.label}
     checked: dict[str, dict] = {}
     failures = {}
@@ -429,14 +430,14 @@ def verify_proof_matchings(
     second endpoints form an independent set. A graph offering neither
     hypothesis is reported as skipped, not failed."""
     _require_no_isolated(g)
-    t, s, threshold = _stability(g)
+    t, s, threshold, profile = _stability(g)
     instance = {"graph": _graph_json(g), "field": f.label}
     details: dict = {"t": t, "s": s}
     failures = {}
     ran_any = False
 
     if s >= 2:
-        _size, cert = _search_ordered(g, s)
+        _size, cert = profile.best(s)
         matching = proof_matching_main(g, cert, s, threshold)
         induced = is_induced_matching_layered(build_gk(g, threshold), matching)
         details["main"] = {
@@ -458,7 +459,7 @@ def verify_proof_matchings(
 
     bip, _coloring = is_bipartite(g)
     if bip:
-        size_b, cert_b = ordered_matching_b_independent(g)
+        size_b, cert_b = profile.b_independent
         if cert_b is None or size_b < t:
             details["bipartite"] = {
                 "status": "anomaly",

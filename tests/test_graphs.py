@@ -18,7 +18,6 @@ from coverdepth.errors import GuardError, InputError
 from coverdepth.graphs import (
     NEG_INF,
     Graph,
-    _search_ordered,
     all_pairs,
     are_isomorphic,
     canonical_form,
@@ -34,6 +33,7 @@ from coverdepth.graphs import (
     isomorphism_representatives,
     largest_stable_s,
     ordered_matching_number,
+    ordered_profile,
     relabel,
     s_ordered_matching_number,
     whisker,
@@ -361,11 +361,15 @@ def test_mask_searches_match_oracles_on_all_small_graphs():
         assert (cert is None) == (not edges)
         if cert is not None:
             assert len(cert) == size and is_ordered_matching(g, cert)
+            assert largest_stable_s(g) == max(
+                s for s in range(1, size + 1)
+                if brute_ordered_matching(g.n, edges, s) == size
+            )
         for s in (2, 3):
             want = brute_ordered_matching(g.n, edges, s)
             got = s_ordered_matching_number(g, s)
             assert got == (NEG_INF if want is None else want)
-            size_s, cert_s = _search_ordered(g, s)
+            size_s, cert_s = ordered_profile(g).best(s)
             if want is not None:
                 assert len(cert_s) == size_s == want
                 assert is_s_ordered_matching(g, cert_s, s)

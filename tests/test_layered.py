@@ -22,8 +22,8 @@ from coverdepth.graphs import (
     induced_matching_number,
     largest_stable_s,
     ordered_matching_number,
+    ordered_profile,
 )
-from coverdepth.graphs import _search_ordered
 from coverdepth.ideals import (
     as_label_dict,
     equal,
@@ -249,7 +249,7 @@ def test_proof_matching_main_induced_on_k_window(g):
     t, _ = ordered_matching_number(g)
     s = largest_stable_s(g)
     assert s >= 2
-    size, cert = _search_ordered(g, s=s)
+    size, cert = ordered_profile(g).best(s)
     assert size == t
     for k in range(2 * t - 2 * s + 2, 2 * t - 2 * s + 5):
         m = proof_matching_main(g, cert, s, k)
@@ -315,7 +315,7 @@ def test_proof_matching_sizes_match_certificate(data):
     s = largest_stable_s(g)
     if s < 2:
         return
-    size, cert = _search_ordered(g, s=s)
+    size, cert = ordered_profile(g).best(s)
     assert size == t
     k = 2 * t - 2 * s + 2 + data.draw(st.integers(min_value=0, max_value=2))
     m = proof_matching_main(g, cert, s, k)

@@ -5,12 +5,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from coverdepth import cli, theorems
+from coverdepth import cli, graphs, theorems
 from coverdepth.errors import InputError
 from coverdepth.graphs import Graph, isolated_vertices
 from coverdepth.homology import F2, RATIONALS
@@ -312,6 +313,35 @@ def test_verifier_calls_bind_late(monkeypatch, tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert len(report) == 5
     assert report == json.loads(report_to_json(seen))
+
+
+@pytest.mark.parametrize(
+    "run, searches",
+    [
+        (lambda: verify_main(path(4)), 1),
+        (lambda: verify_whisker(path(2), [[1], [2]]), 1),
+        (lambda: cli.invariants_report(path(6)), 1),
+        # the verifier's own search, then one in each proof_matching_* input check
+        (lambda: verify_proof_matchings(path(4)), 3),
+    ],
+    ids=["main", "whisker", "invariants", "proofmatch"],
+)
+def test_one_ordered_search_per_graph(monkeypatch, run, searches):
+    """Each caller reads the ordered numbers and certificates it needs off
+    one ordered_profile search per graph; calls are counted through every
+    coverdepth namespace that holds the function."""
+    calls = []
+    search = graphs.ordered_profile
+
+    def counting(g):
+        calls.append(g)
+        return search(g)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("coverdepth.") and vars(module).get("ordered_profile") is search:
+            monkeypatch.setattr(module, "ordered_profile", counting)
+    run()
+    assert len(calls) == searches
 
 
 def test_report_formats():
