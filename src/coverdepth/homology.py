@@ -14,8 +14,9 @@ agree with itself (`depth_symbolic_cover`).
 Performance notes, all homology-preserving and therefore invisible in the
 results:
 
-* vertices whose neighborhood contains another vertex's neighborhood are
-  folded away before any matrix is built (independence complexes only);
+* independence complexes are folded first: by Engstrom's fold lemma (Eur.
+  J. Combin. 29 (2008)), a vertex u with N(v) <= N(u) for some v != u can
+  be deleted; such u are the common neighbours of N(v) other than v;
 * disjoint graph components are combined by the join rule for reduced
   homology over a field;
 * component homology is memoized per field under the component's adjacency
@@ -233,16 +234,26 @@ def _component_dims(adj: tuple[int, ...], comp_mask: int, char: int) -> dict[int
     connected induced subgraph, memoized per field under the subgraph's
     adjacency bitmasks relabelled 0..m-1 in increasing vertex order. The key
     determines the labelled graph, so a hit is always the same complex."""
-    verts = list(iter_bits(comp_mask))
-    local = tuple(
-        sum(1 << i for i, w in enumerate(verts) if adj[v] >> w & 1)
-        for v in verts
-    )
-    key = (char, local)
+    pos: dict[int, int] = {}  # vertex bit -> its bit in the relabelled graph
+    m = comp_mask
+    while m:
+        low = m & -m
+        pos[low] = 1 << len(pos)
+        m ^= low
+    local = []
+    for low in pos:
+        nv = adj[low.bit_length() - 1] & comp_mask
+        row = 0
+        while nv:
+            w = nv & -nv
+            row |= pos[w]
+            nv ^= w
+        local.append(row)
+    key = (char, tuple(local))
     cached = _COMPONENT_DIMS.get(key)
     if cached is None:
         faces: dict[int, list[tuple]] = {}
-        for w in _independent_masks(local, len(verts)):
+        for w in _independent_masks(key[1], len(local)):
             faces.setdefault(w.bit_count() - 1, []).append(tuple(iter_bits(w)))
         dense = _dims_from_faces(faces, char)
         cached = {d: c for d, c in dense.items() if c}
@@ -262,38 +273,40 @@ def _join_dims(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
 
 def _ind_dims(adj: tuple[int, ...], mask: int, char: int) -> dict[int, int]:
     """Sparse reduced-homology dims of the independence complex of the
-    induced subgraph on `mask`. Folds dominated vertices, splits into
-    components (independence complexes of disjoint unions are joins), and
-    returns {} when everything vanishes; {-1: 1} is the empty subgraph."""
+    induced subgraph on `mask`: {} if it vanishes (an isolated vertex makes
+    a cone), {-1: 1} if `mask` is empty. Each pass folds away the lowest u
+    that is a common neighbour of some N(v), v != u, so N(v) <= N(u), at one
+    AND per edge end; the rest joins over its connected components."""
     while True:
-        for v in iter_bits(mask):
-            if adj[v] & mask == 0:
-                return {}  # isolated vertex: cone, no reduced homology
-        folded = False
-        bits = list(iter_bits(mask))
-        for u in bits:
-            nu = adj[u] & mask
-            for v in bits:
-                if v != u and (adj[v] & mask) & ~nu == 0:
-                    mask &= ~(1 << u)
-                    folded = True
-                    break
-            if folded:
-                break
-        if not folded:
+        nbrs: dict[int, int] = {}  # vertex bit -> its neighbours in mask
+        m = mask
+        while m:
+            low = m & -m
+            nv = adj[low.bit_length() - 1] & mask
+            if not nv:
+                return {}
+            nbrs[low] = nv
+            m ^= low
+        dominated = 0
+        for low, nv in nbrs.items():
+            common = mask
+            while nv:
+                w = nv & -nv
+                common &= adj[w.bit_length() - 1]
+                nv ^= w
+            dominated |= common & ~low
+        if not dominated:
             break
+        mask &= ~(dominated & -dominated)
     total = {-1: 1}
     remaining = mask
     while remaining:
-        start = remaining & -remaining
-        comp = start
-        frontier = start
+        comp = frontier = remaining & -remaining
         while frontier:
-            grown = comp
-            for v in iter_bits(frontier):
-                grown |= adj[v] & mask
-            frontier = grown & ~comp
-            comp = grown
+            low = frontier & -frontier
+            grown = nbrs[low] & ~comp
+            comp |= grown
+            frontier ^= low | grown
         remaining &= ~comp
         dims = _component_dims(adj, comp, char)
         if not dims:

@@ -236,22 +236,34 @@ def symbolic_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
 def symbolic_power_cover(g: Graph, k: int) -> MonomialIdeal:
     """k-th symbolic power of the cover ideal of g.
 
-    A monomial x^a lies in the intersection of (x_u, x_v)^k over the edges
-    exactly when a_u + a_v >= k for every edge, and minimal such vectors have
-    entries <= k, so the minimal generators are enumerated directly. The
-    generic route (symbolic_power of cover_ideal) is the same definition and
-    the two are cross-checked in tests.
+    It is the intersection of (x_u, x_v)^k over the edges uv, so x^a lies in
+    it exactly when a_u + a_v >= k on every edge. That is an up-set, so x^a
+    is a minimal generator exactly when each v with a_v > 0 has a neighbour
+    u with a_u + a_v = k. A depth-first search sets a_1, a_2, ... in turn,
+    each from max(0, k - a_u over earlier neighbours u) to k, and drops a
+    branch once a vertex whose closed neighbourhood is set fails that test,
+    so its leaves are the minimal generators (tests check symbolic_power).
     """
     if not g.edges:
         raise InputError("cover ideal needs at least one edge")
     if k < 1:
         raise InputError("symbolic power needs k >= 1")
-    edges = g.sorted_edges()
-    satisfying = []
-    for vec in itertools.product(range(k + 1), repeat=g.n):
-        if all(vec[u - 1] + vec[v - 1] >= k for u, v in edges):
-            satisfying.append(vec)
-    return monomial_ideal(base_ring(g.n), satisfying)
+    nbrs = [tuple(iter_bits(m)) for m in g.adj]
+    closing: list[list[int]] = [[] for _ in nbrs]  # x with max N[x] = v
+    for v, nv in enumerate(nbrs):
+        closing[max((v, *nv))].append(v)
+    gens: list[Monomial] = []
+    stack: list[Monomial] = [()]
+    while stack:
+        a = stack.pop()
+        v = len(a)
+        low = max([0, *(k - a[u] for u in nbrs[v] if u < v)])
+        for e in range(low, k + 1):
+            b = a + (e,)
+            if all(b[x] == 0 or any(b[x] + b[u] == k for u in nbrs[x])
+                   for x in closing[v]):
+                (gens if v + 1 == g.n else stack).append(b)
+    return MonomialIdeal(base_ring(g.n), frozenset(gens))
 
 
 def polarize(ideal: MonomialIdeal) -> MonomialIdeal:

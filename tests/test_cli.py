@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -281,6 +282,19 @@ def test_verify_corpus_deterministic_across_jobs(files, capsys):
     assert main([*base, "--output", str(r1)]) == 0
     assert main([*base, "--jobs", "2", "--output", str(r2)]) == 0
     assert r1.read_bytes() == r2.read_bytes()
+    capsys.readouterr()
+
+
+def test_verify_all_report_pinned(tmp_path, capsys):
+    """The JSON report of the <=5-vertex corpus, byte for byte. A change that
+    alters the report on purpose updates this digest and says why."""
+    out = tmp_path / "report.json"
+    argv = ["verify", "all", "--max-vertices", "5", "--max-k", "3",
+            "--jobs", "1", "--format", "json", "--output", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "95fc5350b57fb8f6ad67ea10e498fa6cbaa255aa05d83714eba6a96b2b390f54"
+    )
     capsys.readouterr()
 
 

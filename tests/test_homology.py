@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from coverdepth import homology
 from coverdepth.errors import GuardError, InputError
-from coverdepth.graphs import Graph, enumerate_graphs
+from coverdepth.graphs import Graph, enumerate_graphs, isomorphism_representatives
 from coverdepth.homology import (
     F2,
     RATIONALS,
@@ -471,6 +471,35 @@ def test_depth_symbolic_cover_errors():
         depth_symbolic_cover(path(2), 0)
     with pytest.raises(GuardError):
         depth_symbolic_cover(path(4), 5)
+
+
+def test_ind_dims_matches_faces_on_depth_route_inputs(monkeypatch):
+    """The fold, component join and memo against plain face enumeration on
+    the inputs the two depth routes hand to _ind_dims: every mask route B
+    sweeps and every residual mask route A sweeps, on G_k of each
+    isolated-free graph class with at most four vertices, k <= 3, over Q
+    and F2. The memo starts empty, so every key is built here."""
+    seen = {}
+    inner = homology._ind_dims
+
+    def recording(adj, mask, char):
+        seen[adj, mask, char] = dims = inner(adj, mask, char)
+        return dims
+
+    monkeypatch.setattr(homology, "_ind_dims", recording)
+    homology._COMPONENT_DIMS.clear()
+    for n in range(2, 5):
+        for g in isomorphism_representatives(enumerate_graphs(n, no_isolated=True)):
+            for f in (RATIONALS, F2):
+                for k in (1, 2, 3):
+                    depth_symbolic_cover(g, k, f)
+    assert homology._COMPONENT_DIMS
+    for (adj, mask, char), dims in seen.items():
+        verts = tuple(v for v in range(len(adj)) if mask >> v & 1)
+        edges = [e for e in itertools.combinations(verts, 2) if adj[e[0]] >> e[1] & 1]
+        faces = homology._faces_by_dim(verts, edges)
+        plain = homology._dims_from_faces(faces, char)
+        assert dims == {d: c for d, c in plain.items() if c}, (adj, mask, char)
 
 
 @given(g=small_graphs(max_n=4, min_edges=1), k=st.integers(min_value=1, max_value=3))

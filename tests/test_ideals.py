@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coverdepth.errors import InputError, ParseError
-from coverdepth.graphs import graph
+from coverdepth.graphs import enumerate_graphs, graph, isomorphism_representatives
 from coverdepth.ideals import (
     alexander_dual,
     base_ring,
@@ -163,7 +163,9 @@ def test_symbolic_power_cover_p4_frozen():
 
 
 def test_symbolic_power_routes_agree():
-    for g, k in [(P3(), 2), (K3(), 2), (P4(), 3), (K3(), 3)]:
+    # the perfect matching on 8 vertices: 5^4 generators at k = 4
+    matching = graph(8, [(1, 2), (3, 4), (5, 6), (7, 8)])
+    for g, k in [(P3(), 2), (K3(), 2), (P4(), 3), (K3(), 3), (matching, 4)]:
         direct = symbolic_power_cover(g, k)
         generic = symbolic_power(cover_ideal(g), k)
         assert equal(direct, generic)
@@ -312,16 +314,15 @@ def test_dual_involution(data):
     assert equal(alexander_dual(alexander_dual(squarefree)), squarefree)
 
 
-@given(data=st.data())
-@settings(max_examples=25, deadline=None)
-def test_symbolic_power_cover_matches_oracle(data):
-    from coverdepth.graphs import all_pairs
-
-    n = data.draw(st.integers(min_value=2, max_value=4))
-    pairs = all_pairs(n)
-    mask = data.draw(st.integers(min_value=1, max_value=(1 << len(pairs)) - 1))
-    g = graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
-    k = data.draw(st.integers(min_value=1, max_value=3))
-    got = symbolic_power_cover(g, k)
-    want = brute_symbolic_power_cover(n, set(g.sorted_edges()), k)
-    assert got.gens == frozenset(want)
+def test_symbolic_power_cover_matches_oracle():
+    """Exact generator sets against the iterated lcm-intersection oracle:
+    every labelled graph with an edge on at most four vertices and every
+    isomorphism class on five, isolated vertices included, for k <= 3."""
+    graphs = [g for n in range(2, 5) for g in enumerate_graphs(n)]
+    graphs += isomorphism_representatives(enumerate_graphs(5))
+    for g in graphs:
+        if not g.edges:
+            continue
+        for k in (1, 2, 3):
+            want = brute_symbolic_power_cover(g.n, set(g.sorted_edges()), k)
+            assert symbolic_power_cover(g, k).gens == frozenset(want), (g, k)
