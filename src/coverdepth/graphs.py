@@ -16,6 +16,10 @@ The matching zoo implemented here:
 * the largest stable s: the largest s with s-ordered matching number equal
   to the ordered matching number.
 
+alpha(G) and the induced matching number are largest cliques, of the
+complement and of the edge-compatibility graph (edges that are disjoint and
+span no cross edge), both found by one branch and bound, :func:`_max_clique`.
+
 One search, :func:`ordered_profile`, yields t, every s-ordered size with its
 certificate, and a largest ordered matching with independent b-side. This is
 exact: both conditions are inherited by prefixes, so a search restricted to
@@ -116,24 +120,9 @@ def is_independent(g: Graph, vertices: Iterable[int]) -> bool:
 
 
 def independence_number(g: Graph) -> int:
-    """alpha(G), by branch and bound over neighbor bitmasks."""
-    masks = g.adj
-    best = 0
-
-    def extend(candidates: int, size: int) -> None:
-        nonlocal best
-        if size + candidates.bit_count() <= best:
-            return
-        if candidates == 0:
-            best = max(best, size)
-            return
-        v = (candidates & -candidates).bit_length() - 1
-        # branch: take v, or skip v
-        extend(candidates & ~(masks[v] | (1 << v)), size + 1)
-        extend(candidates & ~(1 << v), size)
-
-    extend((1 << g.n) - 1, 0)
-    return best
+    """alpha(G): the largest clique of the complement."""
+    full = (1 << g.n) - 1
+    return _max_clique([full & ~(a | 1 << v) for v, a in enumerate(g.adj)])
 
 
 def _edges_compatible(g: Graph, e: Edge, f: Edge) -> bool:
@@ -145,36 +134,37 @@ def _edges_compatible(g: Graph, e: Edge, f: Edge) -> bool:
 
 
 def induced_matching_number(g: Graph) -> int:
-    """Largest number of edges forming an induced matching.
-
-    Equivalent to a maximum clique in the edge-compatibility graph; solved
-    by branch and bound with a greedy-coloring upper bound.
-    """
+    """Largest number of edges forming an induced matching: the largest
+    clique of the edge-compatibility graph."""
     edges = g.sorted_edges()
     m = len(edges)
-    if m == 0:
-        return 0
     compat = [0] * m
     for i in range(m):
         for j in range(i + 1, m):
             if _edges_compatible(g, edges[i], edges[j]):
                 compat[i] |= 1 << j
                 compat[j] |= 1 << i
+    return _max_clique(compat)
 
+
+def _max_clique(compat: Sequence[int]) -> int:
+    """Size of a largest clique of the graph with neighbour bitmasks
+    `compat`, by branch and bound (Tomita and Seki, DMTCS 2003). The bound
+    greedily splits the candidates into classes that are independent in
+    `compat`; a clique meets each class at most once, so the class count
+    bounds what the candidates can add."""
     best = 0
 
     def color_bound(candidates: int) -> int:
-        # greedy clique-cover style bound: number of color classes needed
         colors = 0
         remaining = candidates
         while remaining:
             colors += 1
             available = remaining
             while available:
-                v = (available & -available).bit_length() - 1
-                available &= ~(1 << v)
-                remaining &= ~(1 << v)
-                available &= compat[v]
+                low = available & -available
+                remaining ^= low
+                available &= ~(low | compat[low.bit_length() - 1])
         return colors
 
     def expand(candidates: int, size: int) -> None:
@@ -190,7 +180,7 @@ def induced_matching_number(g: Graph) -> int:
                 return
             expand(candidates & compat[v], size + 1)
 
-    expand((1 << m) - 1, 0)
+    expand((1 << len(compat)) - 1, 0)
     return best
 
 

@@ -4,7 +4,9 @@ The pipeline: squarefree ideals become simplicial complexes, reduced homology
 is computed by exact ranks of boundary matrices, graded Betti numbers of the
 quotient come from summing restricted-complex homology over vertex subsets,
 and pd / reg / depth are read off the Betti table (depth through the
-projective-dimension complement in the original variable count).
+projective-dimension complement in the original variable count). Every
+face list, the independent sets of a graph included, comes from one bitmask
+walk, `_faces_by_dim`.
 
 Two independent cross-checks keep the main engine honest: a Taylor-complex
 oracle that minimalizes the generator resolution by linear algebra, and a
@@ -159,70 +161,69 @@ def independence_complex(g: Graph) -> SimplicialComplex:
 # reduced homology by exact ranks
 # ---------------------------------------------------------------------------
 
-def _faces_by_dim(vertices: tuple, non_faces) -> dict[int, list[tuple]]:
-    """All faces grouped by dimension, each list in lexicographic order; the
-    empty face sits in dimension -1."""
-    nf = [tuple(sorted(f)) for f in non_faces]
-    faces: dict[int, list[tuple]] = {-1: [()]}
-
-    def extend(prefix: tuple, candidates: tuple) -> None:
-        for idx, v in enumerate(candidates):
-            face = prefix + (v,)
-            fs = set(face)
-            if any(fs >= set(f) for f in nf):
-                continue
-            faces.setdefault(len(face) - 1, []).append(face)
-            extend(face, candidates[idx + 1 :])
-
-    extend((), tuple(sorted(vertices)))
+def _faces_by_dim(vertices: int, non_faces) -> dict[int, list[int]]:
+    """All faces, as bitmasks grouped by dimension, of the complex on the
+    vertex mask `vertices` whose minimal non-faces are the masks `non_faces`;
+    the empty face sits in dimension -1. One depth-first walk adds vertices
+    in increasing order, so only a vertex joining as a face's highest can
+    complete a non-face: a singleton non-face removes its vertex, a
+    2-element one drops its upper vertex from the lower one's candidates,
+    and a larger one is tested when its highest vertex would join."""
+    up = [0] * vertices.bit_length()  # vertex -> upper ends of its 2-non-faces
+    larger: dict[int, list[int]] = {}  # top vertex bit -> larger non-faces
+    for nf in non_faces:
+        top = 1 << (nf.bit_length() - 1)
+        if nf == top:
+            vertices &= ~top
+        elif nf.bit_count() == 2:
+            up[(nf ^ top).bit_length() - 1] |= top
+        else:
+            larger.setdefault(top, []).append(nf)
+    tops = sum(larger)
+    faces: dict[int, list[int]] = {}
+    stack = [(0, vertices)]
+    while stack:
+        face, candidates = stack.pop()
+        faces.setdefault(face.bit_count() - 1, []).append(face)
+        above = 0  # candidates above the current one
+        while candidates:  # highest first, so the lowest is walked next
+            v = candidates.bit_length() - 1
+            bit = 1 << v
+            candidates ^= bit
+            grown = face | bit
+            if not (bit & tops and any(nf & grown == nf for nf in larger[bit])):
+                stack.append((grown, above & ~up[v]))
+            above |= bit
     return faces
 
 
-def _dims_from_faces(faces: dict[int, list[tuple]], char: int) -> dict[int, int]:
-    """Reduced homology dimensions from face lists: for each degree d,
-    dim = #faces - rank(boundary_d) - rank(boundary_{d+1})."""
+def _dims_from_faces(faces: dict[int, list[int]], char: int) -> dict[int, int]:
+    """Reduced homology dimensions from face masks by dimension: for each
+    degree d, dim = #faces - rank(boundary_d) - rank(boundary_{d+1}). The
+    i-th lowest vertex of a face carries the sign (-1)^i; ranks, and so the
+    dims, do not depend on the order of the faces."""
     top = max(faces)
-    index = {
-        d: {f: i for i, f in enumerate(faces[d])} for d in faces
-    }
     ranks: dict[int, int] = {}
     for d in range(0, top + 1):
+        lower = {f: i for i, f in enumerate(faces[d - 1])}
         rows = []
-        lower = index[d - 1]
-        for face in faces.get(d, []):
+        for face in faces[d]:
             row = [0] * len(lower)
-            for i in range(len(face)):
-                sub = face[:i] + face[i + 1 :]
-                row[lower[sub]] = (-1) ** i
+            sign, rest = 1, face
+            while rest:
+                low = rest & -rest
+                row[lower[face ^ low]] = sign
+                sign, rest = -sign, rest ^ low
             rows.append(row)
-        ranks[d] = rank(rows, char) if rows else 0
-    dims = {}
-    for d in range(-1, top + 1):
-        dims[d] = len(faces.get(d, ())) - ranks.get(d, 0) - ranks.get(d + 1, 0)
-    return dims
+        ranks[d] = rank(rows, char)
+    return {d: len(faces[d]) - ranks.get(d, 0) - ranks.get(d + 1, 0)
+            for d in range(-1, top + 1)}
 
 
-def _adjacency_from_pairs(pairs, pos: dict) -> tuple[int, ...]:
-    """Neighbor bitmasks of the graph whose edges are the 2-element `pairs`;
-    vertex v sits at bit pos[v], and there are len(pos) vertices."""
-    adj = [0] * len(pos)
-    for u, v in pairs:
-        adj[pos[u]] |= 1 << pos[v]
-        adj[pos[v]] |= 1 << pos[u]
-    return tuple(adj)
-
-
-def _independent_masks(adj: tuple[int, ...], n: int):
-    """All independent vertex subsets as bitmasks, in subset-lex order."""
-
-    def extend(mask: int, allowed: int):
-        yield mask
-        for v in iter_bits(allowed):
-            yield from extend(
-                mask | (1 << v), allowed & ~adj[v] & ~((2 << v) - 1)
-            )
-
-    yield from extend(0, (1 << n) - 1)
+def _adjacency(edges: list[int], m: int) -> tuple[int, ...]:
+    """Neighbour bitmasks on m vertices of the graph whose edges are the
+    distinct 2-bit masks `edges` (so each sum below is a union)."""
+    return tuple(sum(e ^ 1 << v for e in edges if e >> v & 1) for v in range(m))
 
 
 # memo for component homology: (char, relabelled adjacency) -> sparse dims
@@ -252,10 +253,9 @@ def _component_dims(adj: tuple[int, ...], comp_mask: int, char: int) -> dict[int
     key = (char, tuple(local))
     cached = _COMPONENT_DIMS.get(key)
     if cached is None:
-        faces: dict[int, list[tuple]] = {}
-        for w in _independent_masks(key[1], len(local)):
-            faces.setdefault(w.bit_count() - 1, []).append(tuple(iter_bits(w)))
-        dense = _dims_from_faces(faces, char)
+        edges = [1 << v | 1 << u for v, row in enumerate(local)
+                 for u in iter_bits(row) if u > v]
+        dense = _dims_from_faces(_faces_by_dim((1 << len(local)) - 1, edges), char)
         cached = {d: c for d, c in dense.items() if c}
         _COMPONENT_DIMS[key] = cached
     return cached
@@ -321,22 +321,16 @@ def reduced_homology_dims(
     guard: int | None = None,
 ) -> dict[int, int]:
     """Reduced homology dimensions of the complex over the chosen field, for
-    every degree from -1 up to the complex dimension. The void complex has
-    no faces and returns an empty map."""
+    every degree from -1 up to the complex dimension, from the face walk on
+    the vertices in sorted order. The void complex has no faces and returns
+    an empty map."""
     check_guard(len(c.vertex_set), guard, DEFAULT_HOCHSTER_GUARD,
                 "complex has {cost} vertices, guard is {limit}")
     if c.is_void:
         return {}
-    if c.vertex_set and c.non_faces and all(len(nf) == 2 for nf in c.non_faces):
-        # conflict-graph fast path: the complex is the independence complex
-        # of the graph whose edges are the non-faces
-        order = {v: i for i, v in enumerate(sorted(c.vertex_set))}
-        n = len(order)
-        adj = _adjacency_from_pairs(c.non_faces, order)
-        top = max(w.bit_count() for w in _independent_masks(adj, n)) - 1
-        sparse = _ind_dims(adj, (1 << n) - 1, f.char)
-        return {d: sparse.get(d, 0) for d in range(-1, top + 1)}
-    return _dims_from_faces(_faces_by_dim(c.vertex_set, c.non_faces), f.char)
+    bit = {v: 1 << i for i, v in enumerate(sorted(c.vertex_set))}
+    non_faces = [sum(bit[v] for v in nf) for nf in c.non_faces]
+    return _dims_from_faces(_faces_by_dim((1 << len(bit)) - 1, non_faces), f.char)
 
 
 # ---------------------------------------------------------------------------
@@ -437,20 +431,17 @@ def betti_table_squarefree(
     if not ideal.gens:
         return _betti_from_counts(ideal.ring.num_vars, counts)
 
-    dual = alexander_dual(ideal)
-    dual_supports = [support(m) for m in dual.sorted_gens()]
-    if all(len(s) == 2 for s in dual_supports):
-        m = len(sweep)
-        adj_t = _adjacency_from_pairs(
-            dual_supports, {v: i for i, v in enumerate(sweep)}
-        )
-        full = (1 << m) - 1
-        for w in _independent_masks(adj_t, m):
+    bit = {v: 1 << i for i, v in enumerate(sweep)}
+    n, full = len(sweep), (1 << len(sweep)) - 1
+    dual = [sum(bit[v] for v in support(m)) for m in alexander_dual(ideal).sorted_gens()]
+    if all(s.bit_count() == 2 for s in dual):
+        adj_t = _adjacency(dual, n)
+        for w in itertools.chain.from_iterable(_faces_by_dim(full, dual).values()):
             closed = w
             for v in iter_bits(w):
                 closed |= adj_t[v]
             rest = full & ~closed
-            j = m - w.bit_count()
+            j = n - w.bit_count()
             if j == 0:
                 continue  # the empty subset is the manual beta_{0,0}
             # duality within the size-j subset V \ W: degree d homology of
@@ -460,27 +451,26 @@ def betti_table_squarefree(
                 counts[_hochster_position(j, j - d - 3)] += c
         return _betti_from_counts(ideal.ring.num_vars, counts)
 
-    gen_supports = [frozenset(support(m)) for m in ideal.sorted_gens()]
-    if all(len(s) == 2 for s in gen_supports):
+    gens = [sum(bit[v] for v in support(m)) for m in ideal.sorted_gens()]
+    if all(s.bit_count() == 2 for s in gens):
         # edge ideal: each restricted complex is the independence complex of
         # the induced subgraph on that subset (Hochster's formula)
-        adj = _adjacency_from_pairs(
-            gen_supports, {v: i for i, v in enumerate(sweep)}
-        )
-        for mask in range(1, 1 << len(sweep)):
+        adj = _adjacency(gens, n)
+        for mask in range(1, 1 << n):
             for d, c in _ind_dims(adj, mask, f.char).items():
                 counts[_hochster_position(mask.bit_count(), d)] += c
         return _betti_from_counts(ideal.ring.num_vars, counts)
 
     # generic subset sweep with cone pruning
-    for mask in range(1, 1 << len(sweep)):
-        sigma = frozenset(sweep[i] for i in iter_bits(mask))
-        inside = [s for s in gen_supports if s <= sigma]
-        if any(all(v not in s for s in inside) for v in sigma):
-            continue  # some vertex lies in every face: a cone
-        faces = _faces_by_dim(tuple(sorted(sigma)), inside)
-        j = len(sigma)
-        for d, c in _dims_from_faces(faces, f.char).items():
+    for mask in range(1, 1 << n):
+        inside = [s for s in gens if s & mask == s]
+        union = 0
+        for s in inside:
+            union |= s
+        if union != mask:
+            continue  # a vertex in no non-face lies in every facet: a cone
+        j = mask.bit_count()
+        for d, c in _dims_from_faces(_faces_by_dim(mask, inside), f.char).items():
             if c:
                 counts[_hochster_position(j, d)] += c
     return _betti_from_counts(ideal.ring.num_vars, counts)

@@ -520,14 +520,12 @@ def clique_partitions(g: Graph) -> Iterator[list[tuple[int, ...]]]:
     yield from rec(tuple(g.vertices))
 
 
-def _corpus_graphs(max_vertices: int, dedupe: bool, no_isolated: bool) -> list[Graph]:
+def _corpus_graphs(max_vertices: int, no_isolated: bool) -> list[Graph]:
+    """One graph per isomorphism class on up to `max_vertices` vertices."""
     out: list[Graph] = []
-    lo = 2 if no_isolated else 1
-    for n in range(lo, max_vertices + 1):
-        batch = list(enumerate_graphs(n, no_isolated=no_isolated))
-        if dedupe:
-            batch = isomorphism_representatives(batch)
-        out.extend(batch)
+    for n in range(2 if no_isolated else 1, max_vertices + 1):
+        batch = enumerate_graphs(n, no_isolated=no_isolated)
+        out.extend(isomorphism_representatives(batch))
     return out
 
 
@@ -592,7 +590,6 @@ def run_corpus(
     k_max: int = 3,
     field: FieldChoice = RATIONALS,
     theorems: Sequence[str] = THEOREM_IDS,
-    dedupe: bool = True,
     jobs: int = 1,
     guard: int | None = None,
 ) -> list[VerificationOutcome]:
@@ -606,14 +603,12 @@ def run_corpus(
         raise InputError(f"unknown theorem ids {sorted(unknown)}")
     if jobs < 1:
         raise InputError("jobs must be >= 1")
-    corpus = _corpus_graphs(max_vertices, dedupe, no_isolated=True)
+    corpus = _corpus_graphs(max_vertices, no_isolated=True)
     items: list[tuple] = []
     for tid in requested:
         spec = VERIFIERS[tid]
         if spec.takes_partition:
-            bases = _corpus_graphs(
-                min(max_vertices, WHISKER_BASE_LIMIT), dedupe, no_isolated=False
-            )
+            bases = _corpus_graphs(min(max_vertices, WHISKER_BASE_LIMIT), no_isolated=False)
             instances = [(g, pi) for g in bases for pi in clique_partitions(g)]
         else:
             instances = [(g, None) for g in corpus if spec.applies(g, None)]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -134,6 +135,26 @@ def test_induced_matching_frozen():
     assert induced_matching_number(THREE_K2) == 3
     assert induced_matching_number(PRISM) == 1
     assert induced_matching_number(graph(3, [])) == 0
+
+
+def test_induced_matching_seven_vertex_regression():
+    # {1,7}, {2,6}, {3,4}: a colour bound whose classes were cliques of the
+    # compatibility graph undercounted them and pruned this optimum
+    assert induced_matching_number(graph(7, [(1, 5), (1, 7), (2, 5), (2, 6), (3, 4)])) == 3
+
+
+def test_clique_searches_match_oracles_on_seeded_larger_graphs():
+    """alpha and ind-match against the brute oracles on 200 seeded random
+    graphs on 7-8 vertices (edge probability 0.3), beyond the exhaustive
+    check on <= 5 vertices. A colour bound built from compatible edges
+    instead of incompatible ones gets four of them wrong."""
+    rng = random.Random(0)
+    for _ in range(200):
+        n = rng.choice((7, 8))
+        g = graph(n, [p for p in all_pairs(n) if rng.random() < 0.3])
+        edges = set(g.edges)
+        assert independence_number(g) == brute_alpha(n, edges), g
+        assert induced_matching_number(g) == brute_induced_matching(n, edges), g
 
 
 # ---------------------------------------------------------------------------

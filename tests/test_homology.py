@@ -210,6 +210,42 @@ def test_reduced_homology_matches_oracle_on_complexes(c):
         assert got == expected
 
 
+def _faces_by_itertools(bits: list[int], non_faces: list[int]) -> dict[int, list[int]]:
+    """Every subset of the vertex bits containing no non-face, by size."""
+    faces: dict[int, list[int]] = {}
+    for size in range(len(bits) + 1):
+        for subset in itertools.combinations(bits, size):
+            mask = sum(subset)
+            if not any(nf & mask == nf for nf in non_faces):
+                faces.setdefault(size - 1, []).append(mask)
+    return faces
+
+
+def _check_face_walk(n: int, non_faces) -> None:
+    """The walk against itertools, with vertex v on bit 2v - 1 so that the
+    vertex mask has gaps."""
+    bit = {v: 1 << (2 * v - 1) for v in range(1, n + 1)}
+    nf_masks = [sum(bit[v] for v in nf) for nf in non_faces]
+    walk = homology._faces_by_dim(sum(bit.values()), nf_masks)
+    want = _faces_by_itertools(list(bit.values()), nf_masks)
+    assert {d: sorted(fs) for d, fs in walk.items()} == {
+        d: sorted(fs) for d, fs in want.items()
+    }, (n, non_faces)
+
+
+def test_face_walk_matches_itertools_on_all_small_graphs():
+    for n in range(1, 6):
+        for g in enumerate_graphs(n):
+            _check_face_walk(n, g.edges)
+
+
+@given(c=small_complexes())
+@settings(max_examples=60, deadline=None)
+def test_face_walk_matches_itertools_on_complexes(c):
+    """Larger and singleton non-faces as well as edges."""
+    _check_face_walk(len(c.vertex_set), c.non_faces)
+
+
 def test_graph_fast_path_matches_reference_with_cold_memo():
     """The folded, component-memoized path against plain face enumeration,
     on every labelled graph with at most five vertices, over Q and F2. The
@@ -218,11 +254,13 @@ def test_graph_fast_path_matches_reference_with_cold_memo():
     for f in (RATIONALS, F2):
         for n in range(1, 6):
             for g in enumerate_graphs(n):
-                c = independence_complex(g)
-                expected = homology._dims_from_faces(
-                    homology._faces_by_dim(c.vertex_set, c.non_faces), f.char
+                full = (1 << n) - 1
+                edges = [1 << (u - 1) | 1 << (v - 1) for u, v in g.edges]
+                plain = homology._dims_from_faces(
+                    homology._faces_by_dim(full, edges), f.char
                 )
-                assert reduced_homology_dims(c, f) == expected, (g, f)
+                expected = {d: c for d, c in plain.items() if c}
+                assert homology._ind_dims(g.adj, full, f.char) == expected, (g, f)
     assert homology._COMPONENT_DIMS
 
 
@@ -329,7 +367,10 @@ def _plain_hochster_table(g: Graph, f: FieldChoice) -> BettiTable:
     for size in range(g.n + 1):
         for sigma in itertools.combinations(range(1, g.n + 1), size):
             inside = [e for e in g.edges if set(e) <= set(sigma)]
-            faces = homology._faces_by_dim(sigma, inside)
+            faces = homology._faces_by_dim(
+                sum(1 << (v - 1) for v in sigma),
+                [1 << (u - 1) | 1 << (v - 1) for u, v in inside],
+            )
             for d, c in homology._dims_from_faces(faces, f.char).items():
                 if c:
                     counts[(size - d - 1, size)] += c
@@ -363,10 +404,10 @@ def test_edge_ideal_betti_matches_plain_hochster_with_cold_memo():
 
 def test_betti_branch_reach(monkeypatch):
     """Edge ideals sweep every nonempty vertex subset through _ind_dims and
-    never enumerate faces; cover ideals sweep the independent sets of the
-    dual graph; an ideal with a non-quadric generator on both sides takes
-    the generic face sweep."""
-    calls = {"_faces_by_dim": 0, "_ind_dims": 0}
+    never build boundary matrices once the memo is warm; cover ideals sweep
+    the independent sets of the dual graph; an ideal with a non-quadric
+    generator on both sides takes the generic face sweep."""
+    calls = {"_dims_from_faces": 0, "_ind_dims": 0}
 
     def counting(name):
         inner = getattr(homology, name)
@@ -377,13 +418,14 @@ def test_betti_branch_reach(monkeypatch):
 
         monkeypatch.setattr(homology, name, wrapper)
 
-    counting("_faces_by_dim")
+    counting("_dims_from_faces")
     counting("_ind_dims")
 
     def reach(ideal):
+        betti_table_squarefree(ideal)  # warm the memo
         calls.update(dict.fromkeys(calls, 0))
         betti_table_squarefree(ideal)
-        return calls["_faces_by_dim"], calls["_ind_dims"]
+        return calls["_dims_from_faces"], calls["_ind_dims"]
 
     # I(C5): the dual, the cover ideal, has cubic generators
     assert reach(edge_ideal(cycle(5))) == (0, 2 ** 5 - 1)
@@ -497,7 +539,7 @@ def test_ind_dims_matches_faces_on_depth_route_inputs(monkeypatch):
     for (adj, mask, char), dims in seen.items():
         verts = tuple(v for v in range(len(adj)) if mask >> v & 1)
         edges = [e for e in itertools.combinations(verts, 2) if adj[e[0]] >> e[1] & 1]
-        faces = homology._faces_by_dim(verts, edges)
+        faces = homology._faces_by_dim(mask, [1 << u | 1 << v for u, v in edges])
         plain = homology._dims_from_faces(faces, char)
         assert dims == {d: c for d, c in plain.items() if c}, (adj, mask, char)
 

@@ -164,6 +164,16 @@ def test_verify_regind_examples():
     assert k3.details["checked"]["k=1"]["reg"] == 2
 
 
+def test_verify_regind_tree_counts_three_induced_edges():
+    # G_2 of this tree has an induced matching of size 3; a search that
+    # found only 2 reported a false counterexample here
+    tree = Graph(6, ((1, 2), (1, 3), (1, 6), (2, 5), (3, 4)))
+    out = verify_regind(tree)
+    assert out.passed
+    for k in ("k=2", "k=3"):
+        assert out.details["checked"][k] == {"reg": 4, "ind_match": 3, "expected": 4}
+
+
 def test_verify_regind_errors_and_guard():
     with pytest.raises(InputError):
         verify_regind(Graph(3, ((1, 2),)))
