@@ -19,6 +19,9 @@ results:
 * independence complexes are folded first: by Engstrom's fold lemma (Eur.
   J. Combin. 29 (2008)), a vertex u with N(v) <= N(u) for some v != u can
   be deleted; such u are the common neighbours of N(v) other than v;
+* edge-ideal regularity sweeps only fold-free vertex subsets, those with
+  no pair u != v and N(v) <= N(u): the fold deletes u from any subset
+  holding both without changing its homology, so no degree is lost;
 * disjoint graph components are combined by the join rule for reduced
   homology over a field;
 * component homology is memoized per field under the component's adjacency
@@ -272,11 +275,12 @@ def _join_dims(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
 
 
 def _ind_dims(adj: tuple[int, ...], mask: int, char: int) -> dict[int, int]:
-    """Sparse reduced-homology dims of the independence complex of the
-    induced subgraph on `mask`: {} if it vanishes (an isolated vertex makes
-    a cone), {-1: 1} if `mask` is empty. Each pass folds away the lowest u
-    that is a common neighbour of some N(v), v != u, so N(v) <= N(u), at one
-    AND per edge end; the rest joins over its connected components."""
+    """Sparse reduced-homology dims, read-only (maybe a memo entry), of the
+    independence complex of the induced subgraph on `mask`: {} if it
+    vanishes (an isolated vertex makes a cone), {-1: 1} if `mask` is empty.
+    Each pass folds away the lowest u that is a common neighbour of some
+    N(v), v != u, so N(v) <= N(u), at one AND per edge end; the rest joins
+    over its connected components, the first taken as it is."""
     while True:
         nbrs: dict[int, int] = {}  # vertex bit -> its neighbours in mask
         m = mask
@@ -311,7 +315,7 @@ def _ind_dims(adj: tuple[int, ...], mask: int, char: int) -> dict[int, int]:
         dims = _component_dims(adj, comp, char)
         if not dims:
             return {}
-        total = _join_dims(total, dims)
+        total = dims if total == {-1: 1} else _join_dims(total, dims)
     return total
 
 
@@ -554,13 +558,22 @@ def pd_reg_depth(
     return table.pd, table.reg, original_vars - table.pd
 
 
-def _reg_sweep(adj: tuple[int, ...], masks, char: int) -> int:
-    """Edge-ideal regularity read off the induced subgraphs on `masks`:
-    one more than the largest d + 1 with nonzero reduced homology of degree
-    d in an independence complex. The dims from _ind_dims are sparse and
-    nonzero, and vanish on subgraphs with an isolated vertex (cones)."""
+def _reg_sweep(adj: tuple[int, ...], char: int) -> int:
+    """Edge-ideal regularity of the graph with neighbour masks `adj`: one
+    more than the largest d + 1 with nonzero reduced homology of degree d
+    in the independence complex of an induced subgraph. Only fold-free
+    subsets are swept, those holding no pair u != v with N(v) <= N(u): such
+    u and v are not adjacent, and in any induced subgraph holding both the
+    fold lemma deletes u with every homology degree unchanged, so each
+    degree some subset reaches is also reached by a fold-free one. The face
+    walk lists them, taking the nested pairs as 2-element non-faces. The
+    dims from _ind_dims are sparse and nonzero, and vanish on subgraphs with
+    an isolated vertex (cones)."""
+    n = len(adj)
+    nested = [1 << u | 1 << v for v in range(n) for u in range(v + 1, n)
+              if not adj[v] & ~adj[u] or not adj[u] & ~adj[v]]
     best = 0
-    for mask in masks:
+    for mask in itertools.chain.from_iterable(_faces_by_dim((1 << n) - 1, nested).values()):
         for d in _ind_dims(adj, mask, char):
             if d + 1 > best:
                 best = d + 1
@@ -573,35 +586,24 @@ def reg_edge_ideal(
     guard: int | None = None,
 ) -> int:
     """Regularity of the edge ideal I(g) (one more than the regularity of
-    the quotient), via homology of independence complexes of all induced
-    subgraphs. Needs at least one edge."""
+    the quotient), via homology of independence complexes of the fold-free
+    induced subgraphs (see `_reg_sweep`). Needs at least one edge."""
     if not g.edges:
         raise InputError("regularity of an edge ideal needs at least one edge")
     check_guard(g.n, guard, DEFAULT_HOCHSTER_GUARD,
                 "{cost} vertices exceed the guard {limit}")
-    return _reg_sweep(g.adj, range(1 << g.n), f.char)
+    return _reg_sweep(g.adj, f.char)
 
 
 def reg_edge_ideal_layered(gk: LayeredGraph, f: FieldChoice = RATIONALS) -> int:
-    """Regularity of the edge ideal of a layered graph.
-
-    Within one grid column the neighborhoods of (i,p) shrink as the layer p
-    grows, so any subset holding two vertices of a column folds onto a
-    smaller subset with identical homology. The maximum over all subsets is
-    therefore attained among subsets with at most one vertex per column, and
-    only those are swept.
-    """
+    """Regularity of the edge ideal of a layered graph, by the same
+    fold-free sweep as `reg_edge_ideal` on G_k relabelled 1..n*k. Within a
+    grid column the neighbourhoods shrink as the layer grows, so a swept
+    subset holds at most one vertex per column. Unguarded: callers bound
+    n * k through `layered_guard`."""
     if not gk.edges:
         raise InputError("regularity of an edge ideal needs at least one edge")
-    plain, labels = as_plain_graph(gk)
-    adj = plain.adj
-    columns: dict[int, list[int]] = defaultdict(list)
-    for idx, (i, _p) in enumerate(labels):
-        if adj[idx]:
-            columns[i].append(idx)
-    options = [[0, *(1 << v for v in column)] for column in columns.values()]
-    masks = (sum(choice) for choice in itertools.product(*options))
-    return _reg_sweep(adj, masks, f.char)
+    return _reg_sweep(as_plain_graph(gk)[0].adj, f.char)
 
 
 def layered_guard(g: Graph, k: int, guard: int | None = None) -> int:

@@ -179,19 +179,12 @@ def edge_ideal(g: Graph) -> MonomialIdeal:
 
 
 def cover_ideal(g: Graph) -> MonomialIdeal:
-    """Ideal whose generators are the minimal vertex covers of g; equals the
-    intersection of (x_u, x_v) over all edges."""
+    """Ideal whose generators are the minimal vertex covers of g: the
+    Alexander dual of the edge ideal, i.e. the intersection of (x_u, x_v)
+    over all edges."""
     if not g.edges:
         raise InputError("cover ideal needs at least one edge")
-    ring = base_ring(g.n)
-    edge_masks = [mask_of((u - 1, v - 1)) for u, v in g.sorted_edges()]
-    gens = []
-    for cover in minimal_hitting_sets(edge_masks):
-        exps = [0] * g.n
-        for i in iter_bits(cover):
-            exps[i] = 1
-        gens.append(tuple(exps))
-    return MonomialIdeal(ring, frozenset(gens))
+    return alexander_dual(edge_ideal(g))
 
 
 def minimal_primes(ideal: MonomialIdeal) -> list[tuple]:

@@ -30,12 +30,12 @@ from .graphs import (
 )
 from .ideals import (
     MonomialIdeal,
+    alexander_dual,
     equal,
     layered_ring,
     polarize,
     symbolic_power_cover,
 )
-from ._bits import iter_bits, mask_of, minimal_hitting_sets
 
 LayeredVertex = tuple[int, int]
 LayeredEdge = tuple[LayeredVertex, LayeredVertex]
@@ -87,21 +87,18 @@ def as_plain_graph(gk: LayeredGraph) -> tuple[Graph, tuple[LayeredVertex, ...]]:
 
 
 def layered_cover_ideal(gk: LayeredGraph) -> MonomialIdeal:
-    """Cover ideal of G_k in the layered ring on the full grid: generators
-    are the minimal vertex covers."""
+    """Cover ideal of G_k in the layered ring on the full grid: the
+    Alexander dual of its edge ideal, whose generators are the minimal
+    vertex covers."""
     if not gk.edges:
         raise InputError("cover ideal needs at least one edge")
     ring = layered_ring(gk.vertices)
-    edge_masks = [
-        mask_of((ring.index(a), ring.index(b))) for a, b in gk.sorted_edges()
-    ]
     gens = []
-    for cover in minimal_hitting_sets(edge_masks):
+    for a, b in gk.edges:
         exps = [0] * ring.num_vars
-        for idx in iter_bits(cover):
-            exps[idx] = 1
+        exps[ring.index(a)] = exps[ring.index(b)] = 1
         gens.append(tuple(exps))
-    return MonomialIdeal(ring, frozenset(gens))
+    return alexander_dual(MonomialIdeal(ring, frozenset(gens)))
 
 
 def check_polarization_identity(g: Graph, k: int) -> bool:

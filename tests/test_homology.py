@@ -478,6 +478,17 @@ def test_reg_edge_ideal_errors():
         reg_edge_ideal(path(4), guard=3)
 
 
+def _unpruned_reg(g: Graph, f: FieldChoice = RATIONALS) -> int:
+    """Reference edge-ideal regularity with no sweep pruning: one more than
+    the largest d + 1 with nonzero degree-d homology over all 2^n induced
+    subgraphs."""
+    best = 0
+    for mask in range(1 << g.n):
+        for d in homology._ind_dims(g.adj, mask, f.char):
+            best = max(best, d + 1)
+    return best + 1
+
+
 @pytest.mark.parametrize(
     "g, k",
     [(path(2), 1), (path(2), 2), (path(2), 3), (path(4), 2), (complete(3), 2),
@@ -486,7 +497,7 @@ def test_reg_edge_ideal_errors():
 def test_reg_layered_matches_plain_sweep(g, k):
     gk = build_gk(g, k)
     plain, _labels = as_plain_graph(gk)
-    assert reg_edge_ideal_layered(gk) == reg_edge_ideal(plain)
+    assert reg_edge_ideal_layered(gk) == _unpruned_reg(plain)
 
 
 @given(g=small_graphs(max_n=4, min_edges=1), k=st.integers(min_value=1, max_value=2))
@@ -494,7 +505,29 @@ def test_reg_layered_matches_plain_sweep(g, k):
 def test_reg_layered_matches_plain_sweep_random(g, k):
     gk = build_gk(g, k)
     plain, _labels = as_plain_graph(gk)
-    assert reg_edge_ideal_layered(gk) == reg_edge_ideal(plain)
+    assert reg_edge_ideal_layered(gk) == _unpruned_reg(plain)
+
+
+def test_fold_free_sweep_matches_unpruned_reference():
+    """The regularity sweep visits only subsets with no nested pair
+    N(v) <= N(u); the unpruned sweep over every subset must give the same
+    value, over Q and F2, from a cold memo, on every labelled graph with an
+    edge on at most five vertices and on G_k of every isolated-free graph
+    class on at most four vertices with k <= 3."""
+    homology._COMPONENT_DIMS.clear()
+    graphs = [g for n in range(2, 6) for g in enumerate_graphs(n) if g.edges]
+    layered = [
+        build_gk(g, k)
+        for n in range(2, 5)
+        for g in isomorphism_representatives(enumerate_graphs(n, no_isolated=True))
+        for k in (1, 2, 3)
+    ]
+    for f in (RATIONALS, F2):
+        for g in graphs:
+            assert reg_edge_ideal(g, f) == _unpruned_reg(g, f), (g, f)
+        for gk in layered:
+            plain, _labels = as_plain_graph(gk)
+            assert reg_edge_ideal_layered(gk, f) == _unpruned_reg(plain, f), (gk, f)
 
 
 def test_depth_symbolic_cover_examples():
