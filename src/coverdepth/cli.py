@@ -315,7 +315,7 @@ def cmd_depth(args, cfg: CliConfig) -> int:
     else:
         text = (
             f"depth {depth}\n"
-            "routes polarized-betti-table layered-regularity agree\n"
+            "routes upper-koszul layered-regularity agree\n"
         )
     _emit(text, args.output)
     return EXIT_OK

@@ -11,7 +11,8 @@ walk, `_faces_by_dim`.
 Two independent cross-checks keep the main engine honest: a Taylor-complex
 oracle that minimalizes the generator resolution by linear algebra, and a
 dual-route depth computation for symbolic powers of cover ideals that must
-agree with itself (`depth_symbolic_cover`).
+agree with itself (`depth_symbolic_cover`); its routes share no fold, join
+or memo, so a fault in one raises ConsistencyError.
 
 Performance notes, all homology-preserving and therefore invisible in the
 results:
@@ -59,7 +60,6 @@ from .ideals import (
     is_squarefree,
     polarize,
     support,
-    symbolic_power_cover,
     total_degree,
 )
 from .layered import LayeredGraph, as_plain_graph, build_gk
@@ -613,6 +613,60 @@ def layered_guard(g: Graph, k: int, guard: int | None = None) -> int:
                        "layered computation needs {cost} vertices, guard is {limit}")
 
 
+# memo for upper Koszul complexes: (char, live rows in vertex order) -> sparse dims
+_KOSZUL_DIMS: dict[tuple, dict[int, int]] = {}
+
+
+def _pd_symbolic_cover(g: Graph, k: int, char: int) -> int:
+    """pd(S / J(g)^(k)) from upper Koszul complexes of the unpolarized ideal:
+    beta_{i+1,b}(S/I) = dim H~_{i-1}(K^b), K^b = {tau <= supp b : x^(b-tau) in
+    I} (Miller-Sturmfels, Combinatorial Commutative Algebra, Thm 1.34). Only
+    lcm-lattice points carry Betti numbers (Gasharov-Peeva-Welker 1999), and
+    they lie in {0..k}^n, so the walk of `symbolic_power_cover` sweeps every
+    b there with b_u + b_v >= k on each edge. The slack rule: tau is a face
+    iff |tau & {u, v}| <= b_u + b_v - k on each edge, so a vertex of supp b
+    on a tight edge is in no face and the other, live, ones span Ind of the
+    slack-1 graph on them; a live vertex with no slack-1 edge there makes a
+    cone, which is skipped."""
+    n = g.n
+    nbrs = [tuple(iter_bits(m)) for m in g.adj]
+    closing: list[list[int]] = [[] for _ in nbrs]  # x with max N[x] = v
+    for v, nv in enumerate(nbrs):
+        closing[max((v, *nv))].append(v)
+    pos = {x: i for i, x in enumerate(itertools.chain.from_iterable(closing))}
+    pd = 0
+    stack = [((), 0, ())]  # (b so far, live mask, slack-1 rows in closing order)
+    while stack:
+        a, live, rows = stack.pop()
+        v = len(a)
+        if v == n:
+            key = tuple(rows[pos[x]] & live for x in iter_bits(live))
+            if 0 in key:
+                continue  # a cone
+            dims = _KOSZUL_DIMS.get((char, key))
+            if dims is None:
+                edges = [1 << x | 1 << u for x, r in zip(iter_bits(live), key)
+                         for u in iter_bits(r) if u > x]
+                dense = _dims_from_faces(_faces_by_dim(live, edges), char)
+                dims = _KOSZUL_DIMS[char, key] = {d: c for d, c in dense.items() if c}
+            pd = max(pd, max(dims, default=-2) + 2)
+            continue
+        low = max([0, *(k - a[u] for u in nbrs[v] if u < v)])
+        for e in range(low, k + 1):
+            b, grown, more = a + (e,), live, rows
+            for x in closing[v]:
+                one, bx = 0, b[x]
+                if bx and k - bx not in [b[u] for u in nbrs[x]]:  # no tight edge
+                    one = sum(1 << u for u in nbrs[x] if b[u] == k + 1 - bx)
+                    if not one:
+                        break  # a cone
+                    grown |= 1 << x
+                more += (one,)
+            else:
+                stack.append((b, grown, more))
+    return pd
+
+
 def depth_symbolic_cover(
     g: Graph,
     k: int,
@@ -622,24 +676,25 @@ def depth_symbolic_cover(
     """Depth of S / J(g)^(k), where J is the cover ideal, computed by two
     independent routes that must agree:
 
-    A. polarize the symbolic power and read pd off its Betti table; the
-       depth is (vertex count) - pd since polarization preserves pd;
+    A. (vertex count) - pd, with pd read off the upper Koszul complexes of
+       the unpolarized symbolic power (`_pd_symbolic_cover`, Miller-Sturmfels
+       Thm 1.34 and the slack rule);
     B. (vertex count) - reg(I(G_k)) on the layered graph, converting the
        depth question into edge-ideal regularity.
 
-    A disagreement is an internal error, never resolved silently.
+    The routes share only the face walk, `_dims_from_faces` and `rank`. A
+    disagreement is an internal error, never resolved silently.
     """
     if not g.edges:
         raise InputError("needs a graph with at least one edge")
     if k < 1:
         raise InputError("symbolic power exponent must be >= 1")
-    limit = layered_guard(g, k, guard)
-    table = betti_table_squarefree(polarize(symbolic_power_cover(g, k)), f, limit)
-    depth_a = g.n - table.pd
+    layered_guard(g, k, guard)
+    depth_a = g.n - _pd_symbolic_cover(g, k, f.char)
     depth_b = g.n - reg_edge_ideal_layered(build_gk(g, k), f)
     if depth_a != depth_b:
         raise ConsistencyError(
-            f"depth routes disagree on k={k}: polarized Betti table gives "
+            f"depth routes disagree on k={k}: upper Koszul complexes give "
             f"{depth_a}, layered regularity gives {depth_b}"
         )
     return depth_a

@@ -184,7 +184,7 @@ def test_gk_output(files, capsys):
 def test_depth_output(files, capsys):
     assert main(["depth", files["k2"], "5"]) == 0
     assert capsys.readouterr().out == (
-        "depth 0\nroutes polarized-betti-table layered-regularity agree\n"
+        "depth 0\nroutes upper-koszul layered-regularity agree\n"
     )
     assert main(["depth", files["p4"], "2", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)

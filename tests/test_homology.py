@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from collections import defaultdict
 
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coverdepth import homology
-from coverdepth.errors import GuardError, InputError
+from coverdepth.errors import ConsistencyError, GuardError, InputError
 from coverdepth.graphs import Graph, enumerate_graphs, isomorphism_representatives
 from coverdepth.homology import (
     F2,
@@ -39,7 +40,9 @@ from coverdepth.ideals import (
     cover_ideal,
     edge_ideal,
     monomial_ideal,
+    polarize,
     power,
+    symbolic_power_cover,
 )
 from coverdepth.layered import as_plain_graph, build_gk
 
@@ -550,10 +553,11 @@ def test_depth_symbolic_cover_errors():
 
 def test_ind_dims_matches_faces_on_depth_route_inputs(monkeypatch):
     """The fold, component join and memo against plain face enumeration on
-    the inputs the two depth routes hand to _ind_dims: every mask route B
-    sweeps and every residual mask route A sweeps, on G_k of each
-    isolated-free graph class with at most four vertices, k <= 3, over Q
-    and F2. The memo starts empty, so every key is built here."""
+    every mask route B of the depth sweeps on G_k and every residual mask
+    the quadric-dual branch of `betti_table_squarefree` sweeps on the
+    polarized J(g)^(k), for each isolated-free graph class with at most
+    four vertices, k <= 3, over Q and F2. The memo starts empty, so every
+    key is built here."""
     seen = {}
     inner = homology._ind_dims
 
@@ -568,6 +572,7 @@ def test_ind_dims_matches_faces_on_depth_route_inputs(monkeypatch):
             for f in (RATIONALS, F2):
                 for k in (1, 2, 3):
                     depth_symbolic_cover(g, k, f)
+                    betti_table_squarefree(polarize(symbolic_power_cover(g, k)), f)
     assert homology._COMPONENT_DIMS
     for (adj, mask, char), dims in seen.items():
         verts = tuple(v for v in range(len(adj)) if mask >> v & 1)
@@ -575,6 +580,92 @@ def test_ind_dims_matches_faces_on_depth_route_inputs(monkeypatch):
         faces = homology._faces_by_dim(mask, [1 << u | 1 << v for u, v in edges])
         plain = homology._dims_from_faces(faces, char)
         assert dims == {d: c for d, c in plain.items() if c}, (adj, mask, char)
+
+
+def test_koszul_pd_matches_polarized_betti_table():
+    """Route A of the depth check against the polarized Betti table, from a
+    cold memo, over Q and F2: every labelled graph with an edge on at most
+    four vertices and every graph class with an edge on five, k <= 3."""
+    homology._KOSZUL_DIMS.clear()
+    graphs = [g for n in range(2, 5) for g in enumerate_graphs(n) if g.edges]
+    graphs += [g for g in isomorphism_representatives(enumerate_graphs(5)) if g.edges]
+    for f in (RATIONALS, F2):
+        for g in graphs:
+            for k in (1, 2, 3):
+                want = betti_table_squarefree(polarize(symbolic_power_cover(g, k)), f).pd
+                assert homology._pd_symbolic_cover(g, k, f.char) == want, (g, k, f)
+
+
+def test_koszul_pd_matches_taylor_oracle():
+    """Route A against the generator-subset oracle on the unpolarized
+    J(g)^(k), wherever it has at most eight generators: graph classes with
+    an edge on at most five vertices, k <= 3, over Q and F2."""
+    homology._KOSZUL_DIMS.clear()
+    checked = 0
+    for n in range(2, 6):
+        for g in isomorphism_representatives(enumerate_graphs(n)):
+            if not g.edges:
+                continue
+            for k in (1, 2, 3):
+                ideal = symbolic_power_cover(g, k)
+                if len(ideal.gens) > 8:
+                    continue
+                for f in (RATIONALS, F2):
+                    want = taylor_betti_oracle(ideal, f).pd
+                    assert homology._pd_symbolic_cover(g, k, f.char) == want, (g, k, f)
+                    checked += 1
+    assert checked > 100
+
+
+@pytest.mark.parametrize(
+    "g, k",
+    [(cycle(6), 5), (cycle(6), 6), (path(6), 5), (path(6), 6),
+     (Graph(8, ((1, 2), (3, 4), (5, 6), (7, 8))), 4)],
+    ids=["C6-5", "C6-6", "P6-5", "P6-6", "4K2-4"],
+)
+def test_koszul_pd_matches_layered_regularity_on_large_instances(g, k):
+    homology._KOSZUL_DIMS.clear()
+    want = reg_edge_ideal_layered(build_gk(g, k))
+    assert homology._pd_symbolic_cover(g, k, 0) == want
+
+
+@pytest.mark.parametrize("g", [path(4), cycle(5), complete(3)], ids=["P4", "C5", "K3"])
+def test_depth_routes_catch_a_fold_kernel_fault(monkeypatch, g):
+    """A fault in the kernel route B sweeps through (every homology degree
+    of a mask of two or more vertices shifted up by one) must surface as a
+    ConsistencyError, because route A does not go through that kernel."""
+    inner = homology._ind_dims
+
+    def shifted(adj, mask, char):
+        dims = inner(adj, mask, char)
+        return {d + 1: c for d, c in dims.items()} if mask.bit_count() >= 2 else dims
+
+    monkeypatch.setattr(homology, "_ind_dims", shifted)
+    for k in (1, 2, 3):
+        with pytest.raises(ConsistencyError):
+            depth_symbolic_cover(g, k)
+
+
+def test_koszul_route_calls_none_of_route_b_or_the_betti_table(monkeypatch):
+    """Route A runs with the fold kernel, its memo, polarization, the
+    Alexander dual, G_k, the generator search and the Betti table all
+    replaced by functions that raise, in every coverdepth namespace."""
+    cases = [(path(4), 2), (cycle(5), 3), (complete(3), 2), (THREE_K2, 3), (K33, 2)]
+    want = [depth_symbolic_cover(g, k) for g, k in cases]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("route A reached a shared kernel")
+
+    names = ("_ind_dims", "_component_dims", "polarize", "alexander_dual", "build_gk",
+             "symbolic_power_cover", "betti_table_squarefree")
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "coverdepth":
+            for name in names:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+    homology._KOSZUL_DIMS.clear()
+    got = [g.n - homology._pd_symbolic_cover(g, k, 0) for g, k in cases]
+    assert got == want
 
 
 @given(g=small_graphs(max_n=4, min_edges=1), k=st.integers(min_value=1, max_value=3))
