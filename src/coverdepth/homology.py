@@ -6,7 +6,8 @@ quotient come from summing restricted-complex homology over vertex subsets,
 and pd / reg / depth are read off the Betti table (depth through the
 projective-dimension complement in the original variable count). Every
 face list, the independent sets of a graph included, comes from one bitmask
-walk, `_faces_by_dim`.
+walk, `_faces_by_dim`; only the edge-ideal regularity sweep walks its
+subsets itself, because it prunes them by size (`_reg_sweep`).
 
 Two independent cross-checks keep the main engine honest: a Taylor-complex
 oracle that minimalizes the generator resolution by linear algebra, and a
@@ -23,6 +24,13 @@ results:
 * edge-ideal regularity sweeps only fold-free vertex subsets, those with
   no pair u != v and N(v) <= N(u): the fold deletes u from any subset
   holding both without changing its homology, so no degree is lost;
+* that sweep also stops at the quadric size bound: in the Taylor resolution
+  of a quadric ideal beta_{i,j} != 0 needs j <= 2i, so by Hochster's
+  formula H~_d(Ind(G[W])) != 0 needs |W| >= 2d + 2, and a subset or a
+  branch of subsets too small to raise the best degree so far is never
+  evaluated. The sweep checks every degree it reads against the bound and
+  raises ConsistencyError on a breach, so the pruning cannot hide a kernel
+  fault that breaks the bound;
 * disjoint graph components are combined by the join rule for reduced
   homology over a field;
 * component homology is memoized per field under the component's adjacency
@@ -561,22 +569,49 @@ def pd_reg_depth(
 def _reg_sweep(adj: tuple[int, ...], char: int) -> int:
     """Edge-ideal regularity of the graph with neighbour masks `adj`: one
     more than the largest d + 1 with nonzero reduced homology of degree d
-    in the independence complex of an induced subgraph. Only fold-free
-    subsets are swept, those holding no pair u != v with N(v) <= N(u): such
-    u and v are not adjacent, and in any induced subgraph holding both the
-    fold lemma deletes u with every homology degree unchanged, so each
-    degree some subset reaches is also reached by a fold-free one. The face
-    walk lists them, taking the nested pairs as 2-element non-faces. The
-    dims from _ind_dims are sparse and nonzero, and vanish on subgraphs with
-    an isolated vertex (cones)."""
+    in the independence complex of an induced subgraph G[W].
+
+    Only fold-free subsets are swept, those holding no pair u != v with
+    N(v) <= N(u): such u and v are not adjacent, and in any induced
+    subgraph holding both the fold lemma deletes u with every homology
+    degree unchanged, so each degree some subset reaches is also reached by
+    a fold-free one. A depth-first walk adds vertices in increasing order,
+    so a nested pair drops its upper vertex from the lower one's candidates
+    (`up`), as 2-element non-faces do in `_faces_by_dim`.
+
+    The walk is pruned by the quadric size bound: in the Taylor resolution
+    of a quadric ideal beta_{i,j} != 0 needs j <= 2i, which by Hochster's
+    formula reads H~_d(Ind(G[W])) != 0 => |W| >= 2d + 2. So a face is
+    evaluated only when |W| // 2 exceeds the best d + 1 so far, and a
+    branch is dropped once (|face| + |candidates|) // 2 cannot. The bound
+    uses subset sizes only. The pruning trusts it, so every degree read
+    from `_ind_dims` (sparse, nonzero, vanishing on cones) is checked
+    against it, and a breach raises ConsistencyError."""
     n = len(adj)
-    nested = [1 << u | 1 << v for v in range(n) for u in range(v + 1, n)
-              if not adj[v] & ~adj[u] or not adj[u] & ~adj[v]]
+    up = [sum(1 << u for u in range(v + 1, n)
+              if not adj[v] & ~adj[u] or not adj[u] & ~adj[v]) for v in range(n)]
     best = 0
-    for mask in itertools.chain.from_iterable(_faces_by_dim((1 << n) - 1, nested).values()):
-        for d in _ind_dims(adj, mask, char):
-            if d + 1 > best:
-                best = d + 1
+    stack = [(0, (1 << n) - 1)]
+    while stack:
+        face, candidates = stack.pop()
+        size = face.bit_count()
+        if (size + candidates.bit_count()) // 2 <= best:
+            continue
+        if size // 2 > best:
+            for d in _ind_dims(adj, face, char):
+                if 2 * d + 2 > size:
+                    raise ConsistencyError(
+                        f"homology of degree {d} on {size} vertices breaks the "
+                        f"quadric bound |W| >= 2d + 2"
+                    )
+                best = max(best, d + 1)
+        above = 0  # candidates above the current one
+        while candidates:  # highest first, so the lowest is walked next
+            v = candidates.bit_length() - 1
+            bit = 1 << v
+            candidates ^= bit
+            stack.append((face | bit, above & ~up[v]))
+            above |= bit
     return best + 1
 
 
@@ -682,8 +717,9 @@ def depth_symbolic_cover(
     B. (vertex count) - reg(I(G_k)) on the layered graph, converting the
        depth question into edge-ideal regularity.
 
-    The routes share only the face walk, `_dims_from_faces` and `rank`. A
-    disagreement is an internal error, never resolved silently.
+    The routes share only the face walk (route B reaches it through
+    `_component_dims`), `_dims_from_faces` and `rank`. A disagreement is an
+    internal error, never resolved silently.
     """
     if not g.edges:
         raise InputError("needs a graph with at least one edge")

@@ -533,6 +533,25 @@ def test_fold_free_sweep_matches_unpruned_reference():
             assert reg_edge_ideal_layered(gk, f) == _unpruned_reg(plain, f), (gk, f)
 
 
+@pytest.mark.parametrize(
+    "g",
+    [Graph(2, ((1, 2),)), Graph(4, ((1, 2), (3, 4))), THREE_K2]
+    + [as_plain_graph(build_gk(path(2), k))[0] for k in (1, 2, 3)],
+    ids=["1K2", "2K2", "3K2", "P2-G1", "P2-G2", "P2-G3"],
+)
+def test_size_bound_is_tight(g):
+    """The sweep stops once no larger subset can carry a higher degree, by
+    |W| >= 2d + 2. On these graphs the top degree d sits on exactly 2d + 2
+    vertices, so pruning one size early, or evaluating a face one size
+    late, loses it. Compared with the unpruned reference over Q and F2."""
+    for f in (RATIONALS, F2):
+        top = _unpruned_reg(g, f) - 2
+        sizes = [mask.bit_count() for mask in range(1 << g.n)
+                 if top in homology._ind_dims(g.adj, mask, f.char)]
+        assert min(sizes) == 2 * top + 2
+        assert homology._reg_sweep(g.adj, f.char) == top + 2, (g, f)
+
+
 def test_depth_symbolic_cover_examples():
     assert [depth_symbolic_cover(path(2), k) for k in (1, 2, 3, 4)] == [0, 0, 0, 0]
     assert [depth_symbolic_cover(path(4), k) for k in (1, 2, 3)] == [2, 1, 1]

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from coverdepth import cli, graphs, theorems
-from coverdepth.errors import InputError
+from coverdepth import cli, graphs, homology, theorems
+from coverdepth.errors import ConsistencyError, InputError
 from coverdepth.graphs import Graph, isolated_vertices
 from coverdepth.homology import F2, RATIONALS
 from coverdepth.theorems import (
@@ -352,6 +352,29 @@ def test_one_ordered_search_per_graph(monkeypatch, run, searches):
             monkeypatch.setattr(module, "ordered_profile", counting)
     run()
     assert len(calls) == searches
+
+
+@pytest.mark.parametrize("g", [path(4), cycle(5), complete(3)], ids=["P4", "C5", "K3"])
+def test_regularity_verifiers_catch_a_fold_kernel_fault(monkeypatch, tmp_path, capsys, g):
+    """A fault in the homology kernel the regularity sweep reads (every
+    degree of a mask of two or more vertices shifted up by one) breaks the
+    quadric size bound, so both regularity verifiers raise ConsistencyError
+    instead of reporting a counterexample, and the CLI exits 5."""
+    inner = homology._ind_dims
+
+    def shifted(adj, mask, char):
+        dims = inner(adj, mask, char)
+        return {d + 1: c for d, c in dims.items()} if mask.bit_count() >= 2 else dims
+
+    monkeypatch.setattr(homology, "_ind_dims", shifted)
+    with pytest.raises(ConsistencyError):
+        verify_reg_upper(g)
+    with pytest.raises(ConsistencyError):
+        verify_regind(g)
+    graph = tmp_path / "g.txt"
+    graph.write_text(cli.format_graph_text(g))
+    assert cli.main(["verify", "regupper", "--graph", str(graph)]) == 5
+    assert "quadric bound" in capsys.readouterr().err
 
 
 def test_report_formats():
