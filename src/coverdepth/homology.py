@@ -31,6 +31,13 @@ results:
   evaluated. The sweep checks every degree it reads against the bound and
   raises ConsistencyError on a breach, so the pruning cannot hide a kernel
   fault that breaks the bound;
+* route A of the depth check (`_pd_symbolic_cover`) stops at the same
+  bound: each upper Koszul complex K^b is the independence complex of a
+  graph on its live vertices, so a point b can raise pd to d + 2 only if
+  |live| >= 2d + 2, and a branch whose live vertices, decided and still
+  open, cannot reach that is dropped. Every degree read from a K^b, memo
+  hit or not, is checked against the bound, with ConsistencyError on a
+  breach;
 * disjoint graph components are combined by the join rule for reduced
   homology over a field;
 * component homology is memoized per field under the component's adjacency
@@ -658,22 +665,41 @@ def _pd_symbolic_cover(g: Graph, k: int, char: int) -> int:
     I} (Miller-Sturmfels, Combinatorial Commutative Algebra, Thm 1.34). Only
     lcm-lattice points carry Betti numbers (Gasharov-Peeva-Welker 1999), and
     they lie in {0..k}^n, so the walk of `symbolic_power_cover` sweeps every
-    b there with b_u + b_v >= k on each edge. The slack rule: tau is a face
-    iff |tau & {u, v}| <= b_u + b_v - k on each edge, so a vertex of supp b
-    on a tight edge is in no face and the other, live, ones span Ind of the
-    slack-1 graph on them; a live vertex with no slack-1 edge there makes a
-    cone, which is skipped."""
+    b there with b_u + b_v >= k on each edge, fixing b_v in vertex order.
+
+    The slack rule: tau is a face iff |tau & {u, v}| <= b_u + b_v - k on
+    each edge, so a vertex of supp b on a tight edge is in no face and the
+    other, live, ones span Ind of the slack-1 graph on them. A vertex is
+    decided, live or not, at its closing vertex, the last of its closed
+    neighbourhood; a live vertex with no slack-1 edge there makes a cone,
+    which is skipped.
+
+    The walk is pruned by the quadric size bound: beta_{i,j} != 0 needs
+    j <= 2i for a quadric ideal, so by Hochster's formula H~_d of the
+    independence complex of a graph on m vertices vanishes unless
+    m >= 2d + 2. A point b thus raises pd to at most |live| // 2 + 1, and a
+    node is dropped once its live vertices plus the `open_after` vertices
+    still undecided cannot beat the best pd so far; at a leaf none are
+    open. The bound uses sizes only. The pruning trusts it, so every degree
+    read from a K^b, memoized or fresh, is checked against its live count,
+    and a breach raises ConsistencyError."""
     n = g.n
     nbrs = [tuple(iter_bits(m)) for m in g.adj]
     closing: list[list[int]] = [[] for _ in nbrs]  # x with max N[x] = v
     for v, nv in enumerate(nbrs):
         closing[max((v, *nv))].append(v)
     pos = {x: i for i, x in enumerate(itertools.chain.from_iterable(closing))}
+    open_after = [0] * (n + 1)  # v -> vertices still undecided at depth v
+    for v in reversed(range(n)):
+        open_after[v] = open_after[v + 1] + len(closing[v])
     pd = 0
     stack = [((), 0, ())]  # (b so far, live mask, slack-1 rows in closing order)
     while stack:
         a, live, rows = stack.pop()
         v = len(a)
+        size = live.bit_count()
+        if (size + open_after[v]) // 2 + 1 <= pd:
+            continue
         if v == n:
             key = tuple(rows[pos[x]] & live for x in iter_bits(live))
             if 0 in key:
@@ -684,7 +710,13 @@ def _pd_symbolic_cover(g: Graph, k: int, char: int) -> int:
                          for u in iter_bits(r) if u > x]
                 dense = _dims_from_faces(_faces_by_dim(live, edges), char)
                 dims = _KOSZUL_DIMS[char, key] = {d: c for d, c in dense.items() if c}
-            pd = max(pd, max(dims, default=-2) + 2)
+            for d in dims:
+                if 2 * d + 2 > size:
+                    raise ConsistencyError(
+                        f"upper Koszul homology of degree {d} on {size} live "
+                        f"vertices breaks the quadric bound |live| >= 2d + 2"
+                    )
+                pd = max(pd, d + 2)
             continue
         low = max([0, *(k - a[u] for u in nbrs[v] if u < v)])
         for e in range(low, k + 1):
@@ -718,8 +750,10 @@ def depth_symbolic_cover(
        depth question into edge-ideal regularity.
 
     The routes share only the face walk (route B reaches it through
-    `_component_dims`), `_dims_from_faces` and `rank`. A disagreement is an
-    internal error, never resolved silently.
+    `_component_dims`), `_dims_from_faces` and `rank`. Both prune by the
+    same quadric size bound, but each checks every degree it reads against
+    that bound itself. A disagreement is an internal error, never resolved
+    silently.
     """
     if not g.edges:
         raise InputError("needs a graph with at least one edge")

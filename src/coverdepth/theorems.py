@@ -43,9 +43,7 @@ from .homology import (
     RATIONALS,
     FieldChoice,
     depth_symbolic_cover,
-    layered_guard,
     reg_edge_ideal,
-    reg_edge_ideal_layered,
 )
 from .ideals import cover_ideal, equal, power, symbolic_power_cover
 from .layered import (
@@ -319,7 +317,8 @@ def verify_regind(
 ) -> VerificationOutcome:
     """At the stabilization threshold (and one past it, guards allowing),
     the layered graph satisfies the double equality
-    reg(I(G_k)) = ind-match(G_k) + 1 = ord-match(g) + 1."""
+    reg(I(G_k)) = ind-match(G_k) + 1 = ord-match(g) + 1. reg(I(G_k)) is
+    read as n - depth(S/J(g)^(k)), so both depth routes must agree on it."""
     _require_no_isolated(g)
     t, s, threshold, _ = _stability(g)
     instance = {"graph": _graph_json(g), "field": f.label}
@@ -328,13 +327,11 @@ def verify_regind(
     guard_notes = {}
     for k in (threshold, threshold + 1):
         try:
-            layered_guard(g, k, guard)
+            reg = g.n - depth_symbolic_cover(g, k, f, guard)
         except GuardError as err:
             guard_notes[f"k={k}"] = str(err)
             continue
-        gk = build_gk(g, k)
-        reg = reg_edge_ideal_layered(gk, f)
-        plain, _labels = as_plain_graph(gk)
+        plain, _labels = as_plain_graph(build_gk(g, k))
         ind = induced_matching_number(plain)
         checked[f"k={k}"] = {"reg": reg, "ind_match": ind, "expected": t + 1}
         if not (reg == ind + 1 == t + 1):

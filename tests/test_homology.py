@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coverdepth import homology
+from coverdepth._bits import iter_bits
 from coverdepth.errors import ConsistencyError, GuardError, InputError
 from coverdepth.graphs import Graph, enumerate_graphs, isomorphism_representatives
 from coverdepth.homology import (
@@ -634,6 +635,85 @@ def test_koszul_pd_matches_taylor_oracle():
                     assert homology._pd_symbolic_cover(g, k, f.char) == want, (g, k, f)
                     checked += 1
     assert checked > 100
+
+
+def _unpruned_pd(g: Graph, k: int, char: int, memo: dict) -> int:
+    """Reference pd(S/J(g)^(k)) with no size pruning: the upper-Koszul walk
+    of `_pd_symbolic_cover` reading every non-cone K^b, with its own memo
+    in place of `_KOSZUL_DIMS`."""
+    n = g.n
+    nbrs = [tuple(iter_bits(m)) for m in g.adj]
+    closing: list[list[int]] = [[] for _ in nbrs]
+    for v, nv in enumerate(nbrs):
+        closing[max((v, *nv))].append(v)
+    pos = {x: i for i, x in enumerate(itertools.chain.from_iterable(closing))}
+    pd = 0
+    stack = [((), 0, ())]
+    while stack:
+        a, live, rows = stack.pop()
+        v = len(a)
+        if v == n:
+            key = tuple(rows[pos[x]] & live for x in iter_bits(live))
+            if 0 in key:
+                continue
+            dims = memo.get((char, key))
+            if dims is None:
+                edges = [1 << x | 1 << u for x, r in zip(iter_bits(live), key)
+                         for u in iter_bits(r) if u > x]
+                dense = homology._dims_from_faces(homology._faces_by_dim(live, edges), char)
+                dims = memo[char, key] = {d: c for d, c in dense.items() if c}
+            pd = max(pd, max(dims, default=-2) + 2)
+            continue
+        low = max([0, *(k - a[u] for u in nbrs[v] if u < v)])
+        for e in range(low, k + 1):
+            b, grown, more = a + (e,), live, rows
+            for x in closing[v]:
+                one, bx = 0, b[x]
+                if bx and k - bx not in [b[u] for u in nbrs[x]]:
+                    one = sum(1 << u for u in nbrs[x] if b[u] == k + 1 - bx)
+                    if not one:
+                        break
+                    grown |= 1 << x
+                more += (one,)
+            else:
+                stack.append((b, grown, more))
+    return pd
+
+
+def test_koszul_size_bound_matches_unpruned_reference():
+    """Route A stops once no live set can raise pd, by |live| >= 2d + 2;
+    the unpruned walk must give the same pd, over Q and F2, from a cold
+    memo, on every graph class with an edge on two to six vertices (isolated
+    vertices included) with k <= 3 and n * k <= 18."""
+    homology._KOSZUL_DIMS.clear()
+    memo: dict = {}
+    for n in range(2, 7):
+        for g in isomorphism_representatives(enumerate_graphs(n)):
+            if not g.edges:
+                continue
+            for k in range(1, min(3, 18 // n) + 1):
+                for char in (0, 2):
+                    want = _unpruned_pd(g, k, char, memo)
+                    assert homology._pd_symbolic_cover(g, k, char) == want, (g, k, char)
+
+
+@pytest.mark.parametrize("g", [path(4), cycle(5), complete(3)], ids=["P4", "C5", "K3"])
+def test_koszul_route_checks_the_size_bound(monkeypatch, g):
+    """A fault in the face homology route A reads (every degree shifted up
+    by one) breaks |live| >= 2d + 2 on some K^b, so route A raises
+    ConsistencyError instead of returning a pd its pruning may have cut.
+    The memo is swapped for an empty one, so no faulty entry outlives the
+    test."""
+    inner = homology._dims_from_faces
+
+    def shifted(faces, char):
+        return {d + 1: c for d, c in inner(faces, char).items()}
+
+    monkeypatch.setattr(homology, "_dims_from_faces", shifted)
+    monkeypatch.setattr(homology, "_KOSZUL_DIMS", {})
+    for k in (1, 2, 3):
+        with pytest.raises(ConsistencyError, match="quadric bound"):
+            homology._pd_symbolic_cover(g, k, 0)
 
 
 @pytest.mark.parametrize(

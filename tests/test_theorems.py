@@ -377,6 +377,24 @@ def test_regularity_verifiers_catch_a_fold_kernel_fault(monkeypatch, tmp_path, c
     assert "quadric bound" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("g", [path(4), cycle(5), complete(3)], ids=["P4", "C5", "K3"])
+def test_regind_catches_a_fold_kernel_fault_inside_the_size_bound(monkeypatch, g):
+    """A fault in the homology kernel that keeps the quadric size bound
+    (every degree of a mask of two or more vertices shifted down by one)
+    passes route B's own check. `verify_regind` reads reg(I(G_k)) through
+    both depth routes, and route A does not go through that kernel, so it
+    raises ConsistencyError instead of reporting a counterexample."""
+    inner = homology._ind_dims
+
+    def shifted(adj, mask, char):
+        dims = inner(adj, mask, char)
+        return {d - 1: c for d, c in dims.items()} if mask.bit_count() >= 2 else dims
+
+    monkeypatch.setattr(homology, "_ind_dims", shifted)
+    with pytest.raises(ConsistencyError):
+        verify_regind(g)
+
+
 def test_report_formats():
     out = run_corpus(max_vertices=2, k_max=1, theorems=("main", "regupper"))
     text = report_to_csv(out)
