@@ -2,10 +2,16 @@
 ideal constructions, layered graphs, two-route depths, and verification
 reports out.
 
+Each command takes only the flags its handler reads. Every command takes
+--format (text or json) and --output; `depth` and `verify` add --field and
+--hochster-guard; `verify` adds --max-k, --max-vertices, --jobs, --graph,
+--partition, and the csv format. Any other flag is a usage error.
+
 Exit codes: 0 success; 1 verification found failures; 2 unparseable or
-rejected input; 3 resource guard exceeded; 4 operation precondition
-violated; 5 two internal computation routes disagreed (a bug, never a
-property of the input).
+rejected input, usage errors included; 3 resource guard exceeded; 4
+operation precondition violated, or a count flag below 1, or a guard above
+the default without the override; 5 two internal computation routes
+disagreed (a bug, never a property of the input).
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import (
@@ -57,30 +62,6 @@ EXIT_PRECONDITION = 4
 EXIT_INCONSISTENT = 5
 
 FIELDS = {"q": RATIONALS, "f2": F2}
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Validated run configuration shared by every subcommand."""
-
-    field: FieldChoice
-    max_k: int
-    max_vertices: int
-    hochster_guard: int
-    jobs: int
-    format: str
-
-    def __post_init__(self) -> None:
-        for name, value in (
-            ("--max-k", self.max_k),
-            ("--max-vertices", self.max_vertices),
-            ("--hochster-guard", self.hochster_guard),
-            ("--jobs", self.jobs),
-        ):
-            if value < 1:
-                raise InputError(f"{name} must be >= 1, got {value}")
-        if self.format not in REPORT_FORMATS:
-            raise InputError(f"unknown format {self.format!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +181,6 @@ def _emit(text: str, output: str | None) -> None:
         Path(output).write_text(text)
 
 
-def _reject_csv(cfg: CliConfig) -> None:
-    if cfg.format == "csv":
-        raise ParseError("csv format is only available for verify reports")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -242,19 +218,17 @@ def _render_invariants_text(rep: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_invariants(args, cfg: CliConfig) -> int:
-    _reject_csv(cfg)
+def cmd_invariants(args) -> int:
     g = _load_graph(args.graph)
     check_guard(g.n, None, DEFAULT_ENUM_GUARD,
                 "invariant search on {cost} vertices exceeds guard {limit}")
     rep = invariants_report(g)
-    text = _json_text(rep) if cfg.format == "json" else _render_invariants_text(rep)
+    text = _json_text(rep) if args.format == "json" else _render_invariants_text(rep)
     _emit(text, args.output)
     return EXIT_OK
 
 
-def cmd_ideal(args, cfg: CliConfig) -> int:
-    _reject_csv(cfg)
+def cmd_ideal(args) -> int:
     op = args.ideal_op
     if op == "cover":
         ideal = cover_ideal(_load_graph(args.graph))
@@ -273,7 +247,7 @@ def cmd_ideal(args, cfg: CliConfig) -> int:
             parse_ideal_text(_read_file(args.ideal_a)),
             parse_ideal_text(_read_file(args.ideal_b)),
         )
-    if cfg.format == "json":
+    if args.format == "json":
         text = _json_text(ideal_to_json(ideal))
     else:
         text = format_ideal_text(ideal) + "\n"
@@ -281,10 +255,9 @@ def cmd_ideal(args, cfg: CliConfig) -> int:
     return EXIT_OK
 
 
-def cmd_gk(args, cfg: CliConfig) -> int:
-    _reject_csv(cfg)
+def cmd_gk(args) -> int:
     gk = build_gk(_load_graph(args.graph), args.k)
-    if cfg.format == "json":
+    if args.format == "json":
         text = _json_text(
             {
                 "n": gk.base_n,
@@ -298,16 +271,16 @@ def cmd_gk(args, cfg: CliConfig) -> int:
     return EXIT_OK
 
 
-def cmd_depth(args, cfg: CliConfig) -> int:
-    _reject_csv(cfg)
+def cmd_depth(args) -> int:
     g = _load_graph(args.graph)
-    depth = depth_symbolic_cover(g, args.k, cfg.field, cfg.hochster_guard)
-    if cfg.format == "json":
+    field = FIELDS[args.field]
+    depth = depth_symbolic_cover(g, args.k, field, args.hochster_guard)
+    if args.format == "json":
         text = _json_text(
             {
                 "n": g.n,
                 "k": args.k,
-                "field": cfg.field.label,
+                "field": field.label,
                 "depth": depth,
                 "routes_agree": True,
             }
@@ -321,7 +294,7 @@ def cmd_depth(args, cfg: CliConfig) -> int:
     return EXIT_OK
 
 
-def _verify_single(args, cfg: CliConfig, theorems) -> list:
+def _verify_single(args, field: FieldChoice, theorems) -> list:
     g = _load_graph(args.graph)
     partition = (
         parse_partition_text(_read_file(args.partition)) if args.partition else None
@@ -334,30 +307,31 @@ def _verify_single(args, cfg: CliConfig, theorems) -> list:
         if spec.takes_partition and partition is None:
             raise InputError(f"verify {tid} needs --partition")
         outcomes.append(
-            spec.call(g, partition, cfg.max_k, cfg.field, cfg.hochster_guard)
+            spec.call(g, partition, args.max_k, field, args.hochster_guard)
         )
     return outcomes
 
 
-def cmd_verify(args, cfg: CliConfig) -> int:
+def cmd_verify(args) -> int:
     theorems = THEOREM_IDS if args.theorem == "all" else (args.theorem,)
+    field = FIELDS[args.field]
     try:
         if args.graph:
-            outcomes = _verify_single(args, cfg, theorems)
+            outcomes = _verify_single(args, field, theorems)
         else:
             outcomes = run_corpus(
-                max_vertices=cfg.max_vertices,
-                k_max=cfg.max_k,
-                field=cfg.field,
+                max_vertices=args.max_vertices,
+                k_max=args.max_k,
+                field=field,
                 theorems=theorems,
-                jobs=cfg.jobs,
-                guard=cfg.hochster_guard,
+                jobs=args.jobs,
+                guard=args.hochster_guard,
             )
     except InputError as exc:
         # a rejected instance is an input problem, not a disproved theorem
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    _emit(REPORT_FORMATS[cfg.format](outcomes), args.output)
+    _emit(REPORT_FORMATS[args.format](outcomes), args.output)
     return EXIT_VERIFY_FAILED if any(o.status == "failed" for o in outcomes) else EXIT_OK
 
 
@@ -366,62 +340,64 @@ def cmd_verify(args, cfg: CliConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--field", choices=sorted(FIELDS), default="q")
-    common.add_argument("--max-k", type=int, default=3)
-    common.add_argument("--max-vertices", type=int, default=5)
-    common.add_argument("--hochster-guard", type=int, default=DEFAULT_HOCHSTER_GUARD)
-    common.add_argument("--jobs", type=int, default=1)
-    common.add_argument("--format", choices=list(REPORT_FORMATS), default="text")
-    common.add_argument("--output", default=None)
-    return common
+def _output_flags(formats) -> argparse.ArgumentParser:
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--format", choices=list(formats), default="text")
+    flags.add_argument("--output", default=None)
+    return flags
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each leaf command takes only the flags its handler reads."""
     parser = argparse.ArgumentParser(
         prog="coverdepth",
         description="Exact depth, regularity, and matching computations for "
         "vertex-cover ideals of graphs, with a theorem-verification harness.",
     )
-    common = _common_flags()
+    out = _output_flags(("text", "json"))
+    routes = argparse.ArgumentParser(add_help=False)
+    routes.add_argument("--field", choices=sorted(FIELDS), default="q")
+    routes.add_argument("--hochster-guard", type=int, default=DEFAULT_HOCHSTER_GUARD)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("invariants", parents=[common],
+    p = sub.add_parser("invariants", parents=[out],
                        help="matching and independence invariants of a graph")
     p.add_argument("graph")
 
     ideal = sub.add_parser("ideal", help="monomial-ideal constructions")
     isub = ideal.add_subparsers(dest="ideal_op", required=True)
     for name in ("cover", "edge"):
-        q = isub.add_parser(name, parents=[common])
+        q = isub.add_parser(name, parents=[out])
         q.add_argument("graph")
-    q = isub.add_parser("sympow", parents=[common])
+    q = isub.add_parser("sympow", parents=[out])
     q.add_argument("graph")
     q.add_argument("k", type=int)
-    q = isub.add_parser("pow", parents=[common])
+    q = isub.add_parser("pow", parents=[out])
     q.add_argument("ideal")
     q.add_argument("k", type=int)
     for name in ("polarize", "dual"):
-        q = isub.add_parser(name, parents=[common])
+        q = isub.add_parser(name, parents=[out])
         q.add_argument("ideal")
-    q = isub.add_parser("intersect", parents=[common])
+    q = isub.add_parser("intersect", parents=[out])
     q.add_argument("ideal_a")
     q.add_argument("ideal_b")
 
-    p = sub.add_parser("gk", parents=[common],
+    p = sub.add_parser("gk", parents=[out],
                        help="build the layered graph for a symbolic power")
     p.add_argument("graph")
     p.add_argument("k", type=int)
 
-    p = sub.add_parser("depth", parents=[common],
+    p = sub.add_parser("depth", parents=[out, routes],
                        help="depth of the symbolic cover-ideal power")
     p.add_argument("graph")
     p.add_argument("k", type=int)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[_output_flags(REPORT_FORMATS), routes],
                        help="run theorem verifiers over a corpus or one graph")
     p.add_argument("theorem", choices=[*THEOREM_IDS, "all"])
+    p.add_argument("--max-k", type=int, default=3)
+    p.add_argument("--max-vertices", type=int, default=5)
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--graph", default=None,
                    help="verify a single graph file instead of the corpus")
     p.add_argument("--partition", default=None,
@@ -429,20 +405,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> CliConfig:
-    if args.hochster_guard > DEFAULT_HOCHSTER_GUARD and not guard_override_enabled():
+def _check_flags(args) -> None:
+    """The flag rules argparse cannot state, on whichever of these flags
+    the command takes: a guard above the default needs the override, and
+    every count is >= 1."""
+    flags = vars(args)
+    guard = flags.get("hochster_guard", DEFAULT_HOCHSTER_GUARD)
+    if guard > DEFAULT_HOCHSTER_GUARD and not guard_override_enabled():
         raise InputError(
-            f"--hochster-guard {args.hochster_guard} is above the default "
+            f"--hochster-guard {guard} is above the default "
             f"{DEFAULT_HOCHSTER_GUARD}; set {GUARD_OVERRIDE_ENV}=1 to raise guards"
         )
-    return CliConfig(
-        field=FIELDS[args.field],
-        max_k=args.max_k,
-        max_vertices=args.max_vertices,
-        hochster_guard=args.hochster_guard,
-        jobs=args.jobs,
-        format=args.format,
-    )
+    for name in ("max_k", "max_vertices", "hochster_guard", "jobs"):
+        value = flags.get(name, 1)
+        if value < 1:
+            raise InputError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
 
 
 _HANDLERS = {
@@ -458,8 +435,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _HANDLERS[args.command](args, cfg)
+        _check_flags(args)
+        return _HANDLERS[args.command](args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -26,7 +26,6 @@ from .graphs import (
     is_ordered_matching,
     is_s_ordered_matching,
     ordered_matching_number,
-    ordered_profile,
 )
 from .ideals import (
     MonomialIdeal,
@@ -162,13 +161,6 @@ def proof_matching_main(g: Graph, cert, s: int, k: int) -> list[LayeredEdge]:
     return pairs
 
 
-def ordered_matching_b_independent(g: Graph) -> tuple[int, list | None]:
-    """Maximum ordered matching whose b-side is also independent, with a
-    deterministic certificate; supplies the hypothesis of the bipartite
-    proof-matching construction."""
-    return ordered_profile(g).b_independent
-
-
 def proof_matching_bipartite(g: Graph, cert, k: int) -> list[LayeredEdge]:
     """The explicit matching of G_k built from an ordered matching
     cert = [(a_1,b_1),...,(a_t,b_t)] of maximum size t:
@@ -177,8 +169,8 @@ def proof_matching_bipartite(g: Graph, cert, k: int) -> list[LayeredEdge]:
 
     Requires g bipartite and k >= t. The result is guaranteed to be an
     induced matching of G_k when the certificate's b-side is independent
-    (see :func:`ordered_matching_b_independent`); the substitution itself is
-    performed for any valid ordered certificate.
+    (see :attr:`~coverdepth.graphs.OrderedProfile.b_independent`); the
+    substitution itself is performed for any valid ordered certificate.
     """
     ok, _ = is_bipartite(g)
     if not ok:

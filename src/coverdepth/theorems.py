@@ -43,7 +43,6 @@ from .homology import (
     RATIONALS,
     FieldChoice,
     depth_symbolic_cover,
-    reg_edge_ideal,
 )
 from .ideals import cover_ideal, equal, power, symbolic_power_cover
 from .layered import (
@@ -350,12 +349,14 @@ def verify_reg_upper(
     guard: int | None = None,
 ) -> VerificationOutcome:
     """Edge-ideal regularity is sandwiched by matching numbers:
-    ind-match(g) + 1 <= reg(I(g)) <= ord-match(g) + 1."""
+    ind-match(g) + 1 <= reg(I(g)) <= ord-match(g) + 1. reg(I(g)) is read as
+    n - depth(S/J(g)) = pd(S/J(g)) (Terai, with J(g) the Alexander dual of
+    I(g); G_1 = g), so both depth routes must agree on it."""
     if not g.edges:
         raise InputError("needs a graph with at least one edge")
     instance = {"graph": _graph_json(g), "field": f.label}
     try:
-        reg = reg_edge_ideal(g, f, guard)
+        reg = g.n - depth_symbolic_cover(g, 1, f, guard)
     except GuardError as err:
         return VerificationOutcome(
             "regupper", instance, "skipped", {"reason": str(err)}

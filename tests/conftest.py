@@ -9,6 +9,10 @@ from __future__ import annotations
 
 import re
 
+import pytest
+
+from coverdepth.graphs import Graph, enumerate_graphs, isomorphism_representatives
+
 _ACCEPTANCE_PATTERN = re.compile(r"test_acceptance_(\d+)_")
 
 _DESCRIPTIONS = {
@@ -34,3 +38,12 @@ def pytest_runtest_logreport(report):
     if report.when == "call" or (report.when == "setup" and report.failed):
         status = "PASS" if report.passed else "FAIL"
         print(f"\nACCEPTANCE {number}: {status} - {_DESCRIPTIONS[number]}")
+
+
+@pytest.fixture(scope="session")
+def graph_classes() -> dict[int, list[Graph]]:
+    """Isomorphism representatives of every graph on n <= 6 vertices,
+    isolated vertices included, keyed by n. The six-vertex classes take
+    about 5 s (2^15 canonical forms), so they are enumerated once per
+    session."""
+    return {n: isomorphism_representatives(enumerate_graphs(n)) for n in range(1, 7)}

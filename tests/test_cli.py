@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -117,7 +121,6 @@ def test_invariants_errors(files, tmp_path, capsys):
     big = tmp_path / "big.txt"
     big.write_text("n 8\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 8)))
     assert main(["invariants", str(big)]) == 3
-    assert main(["invariants", files["k2"], "--format", "csv"]) == 2
     assert main(["invariants", str(tmp_path / "missing.txt")]) == 2
     capsys.readouterr()
 
@@ -309,8 +312,68 @@ def test_verify_csv_format(files, capsys):
 
 def test_config_validation(files, capsys):
     assert main(["verify", "all", "--jobs", "0"]) == 4
-    assert main(["depth", files["k2"], "1", "--max-k", "0"]) == 4
+    assert main(["depth", files["k2"], "1", "--hochster-guard", "0"]) == 4
     capsys.readouterr()
+
+
+LEAF_FLAGS = {
+    ("invariants",): {"--format", "--output"},
+    **{("ideal", op): {"--format", "--output"}
+       for op in ("cover", "edge", "sympow", "pow", "polarize", "dual", "intersect")},
+    ("gk",): {"--format", "--output"},
+    ("depth",): {"--format", "--output", "--field", "--hochster-guard"},
+    ("verify",): {"--format", "--output", "--field", "--hochster-guard", "--max-k",
+                  "--max-vertices", "--jobs", "--graph", "--partition"},
+}
+
+
+def _leaf_parsers(parser, path=()):
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from _leaf_parsers(child, (*path, name))
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    leaves = {
+        path: {s for a in p._actions if a.dest != "help" for s in a.option_strings}
+        for path, p in _leaf_parsers(build_parser())
+    }
+    assert leaves == LEAF_FLAGS
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariants", "g.txt", "--format", "csv"],
+        ["ideal", "cover", "g.txt", "--jobs", "2"],
+        ["invariants", "g.txt", "--hochster-guard", "30"],
+        ["depth", "g.txt", "1", "--max-k", "0"],
+    ],
+    ids=["invariants-csv", "ideal-jobs", "invariants-guard", "depth-max-k"],
+)
+def test_flags_a_command_does_not_take(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_benchmark_argv_parses(monkeypatch):
+    """The benchmark drives `verify all` through this parser; its corpus5
+    argv, and the same argv with the guard raised as `bench/freeze.py` does,
+    must still parse."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ untouched
+    workloads_py = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", workloads_py)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    argv, _report = workloads.setup("corpus5", 1, False, Path("unused"))
+    for extra in ([], ["--hochster-guard", "24"]):
+        args = build_parser().parse_args([*argv, *extra])
+        assert (args.command, args.theorem, args.format) == ("verify", "all", "json")
 
 
 def test_usage_errors():

@@ -39,7 +39,6 @@ from coverdepth.graphs import (
     s_ordered_matching_number,
     whisker,
 )
-from coverdepth.layered import ordered_matching_b_independent
 
 from _oracles import (
     brute_alpha,
@@ -299,9 +298,8 @@ def test_isomorphism_class_counts():
         assert len(reps) == count
 
 
-def test_isomorphism_class_count_n6():
-    reps = isomorphism_representatives(enumerate_graphs(6, guard=7))
-    assert len(reps) == 156
+def test_isomorphism_class_count_n6(graph_classes):
+    assert len(graph_classes[6]) == 156
 
 
 def test_canonical_form_examples():
@@ -394,7 +392,7 @@ def test_mask_searches_match_oracles_on_all_small_graphs():
             if want is not None:
                 assert len(cert_s) == size_s == want
                 assert is_s_ordered_matching(g, cert_s, s)
-        size_b, cert_b = ordered_matching_b_independent(g)
+        size_b, cert_b = ordered_profile(g).b_independent
         assert size_b == brute_ordered_matching(g.n, edges, 1, b_independent=True)
         if cert_b is not None:
             assert len(cert_b) == size_b and is_ordered_matching(g, cert_b)

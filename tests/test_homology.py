@@ -680,7 +680,7 @@ def _unpruned_pd(g: Graph, k: int, char: int, memo: dict) -> int:
     return pd
 
 
-def test_koszul_size_bound_matches_unpruned_reference():
+def test_koszul_size_bound_matches_unpruned_reference(graph_classes):
     """Route A stops once no live set can raise pd, by |live| >= 2d + 2;
     the unpruned walk must give the same pd, over Q and F2, from a cold
     memo, on every graph class with an edge on two to six vertices (isolated
@@ -688,7 +688,7 @@ def test_koszul_size_bound_matches_unpruned_reference():
     homology._KOSZUL_DIMS.clear()
     memo: dict = {}
     for n in range(2, 7):
-        for g in isomorphism_representatives(enumerate_graphs(n)):
+        for g in graph_classes[n]:
             if not g.edges:
                 continue
             for k in range(1, min(3, 18 // n) + 1):

@@ -37,7 +37,6 @@ from coverdepth.layered import (
     check_polarization_identity,
     is_induced_matching_layered,
     layered_cover_ideal,
-    ordered_matching_b_independent,
     proof_matching_bipartite,
     proof_matching_main,
 )
@@ -262,7 +261,7 @@ def test_proof_matching_main_induced_on_k_window(g):
 # ---------------------------------------------------------------------------
 
 def test_ordered_matching_b_independent_p4():
-    assert ordered_matching_b_independent(path(4)) == (2, [(2, 1), (4, 3)])
+    assert ordered_profile(path(4)).b_independent == (2, [(2, 1), (4, 3)])
 
 
 def test_proof_matching_bipartite_p4():
@@ -297,7 +296,7 @@ def test_proof_matching_bipartite_errors():
 )
 def test_proof_matching_bipartite_induced_on_k_window(g):
     t, _ = ordered_matching_number(g)
-    size, cert = ordered_matching_b_independent(g)
+    size, cert = ordered_profile(g).b_independent
     assert size == t  # these graphs all admit an independent b-side
     for k in range(t, t + 3):
         m = proof_matching_bipartite(g, cert, k)

@@ -354,19 +354,25 @@ def test_one_ordered_search_per_graph(monkeypatch, run, searches):
     assert len(calls) == searches
 
 
+def _shift_ind_dims(monkeypatch, by: int) -> None:
+    """Fault the homology kernel the regularity sweep reads: every degree of
+    a mask of two or more vertices moves by `by`."""
+    inner = homology._ind_dims
+
+    def shifted(adj, mask, char):
+        dims = inner(adj, mask, char)
+        return {d + by: c for d, c in dims.items()} if mask.bit_count() >= 2 else dims
+
+    monkeypatch.setattr(homology, "_ind_dims", shifted)
+
+
 @pytest.mark.parametrize("g", [path(4), cycle(5), complete(3)], ids=["P4", "C5", "K3"])
 def test_regularity_verifiers_catch_a_fold_kernel_fault(monkeypatch, tmp_path, capsys, g):
     """A fault in the homology kernel the regularity sweep reads (every
     degree of a mask of two or more vertices shifted up by one) breaks the
     quadric size bound, so both regularity verifiers raise ConsistencyError
     instead of reporting a counterexample, and the CLI exits 5."""
-    inner = homology._ind_dims
-
-    def shifted(adj, mask, char):
-        dims = inner(adj, mask, char)
-        return {d + 1: c for d, c in dims.items()} if mask.bit_count() >= 2 else dims
-
-    monkeypatch.setattr(homology, "_ind_dims", shifted)
+    _shift_ind_dims(monkeypatch, 1)
     with pytest.raises(ConsistencyError):
         verify_reg_upper(g)
     with pytest.raises(ConsistencyError):
@@ -384,15 +390,26 @@ def test_regind_catches_a_fold_kernel_fault_inside_the_size_bound(monkeypatch, g
     passes route B's own check. `verify_regind` reads reg(I(G_k)) through
     both depth routes, and route A does not go through that kernel, so it
     raises ConsistencyError instead of reporting a counterexample."""
-    inner = homology._ind_dims
-
-    def shifted(adj, mask, char):
-        dims = inner(adj, mask, char)
-        return {d - 1: c for d, c in dims.items()} if mask.bit_count() >= 2 else dims
-
-    monkeypatch.setattr(homology, "_ind_dims", shifted)
+    _shift_ind_dims(monkeypatch, -1)
     with pytest.raises(ConsistencyError):
         verify_regind(g)
+
+
+@pytest.mark.parametrize("g", [path(4), cycle(5), complete(3)], ids=["P4", "C5", "K3"])
+def test_reg_upper_catches_a_fold_kernel_fault_inside_the_size_bound(
+    monkeypatch, tmp_path, capsys, g
+):
+    """The same fault under `verify_reg_upper`: it reads reg(I(g)) as
+    n - depth(S/J(g)) through both depth routes (Terai, with G_1 = g), so the
+    fault raises ConsistencyError, and the CLI exits 5, instead of reading
+    as a counterexample to the matching bounds."""
+    _shift_ind_dims(monkeypatch, -1)
+    with pytest.raises(ConsistencyError):
+        verify_reg_upper(g)
+    graph = tmp_path / "g.txt"
+    graph.write_text(cli.format_graph_text(g))
+    assert cli.main(["verify", "regupper", "--graph", str(graph)]) == 5
+    assert "depth routes disagree on k=1" in capsys.readouterr().err
 
 
 def test_report_formats():
