@@ -416,9 +416,10 @@ def _refinement_classes(g: Graph) -> list[list[int]]:
 
 def canonical_form(g: Graph) -> tuple[int, tuple[Edge, ...]]:
     """A canonical labeled copy: minimal edge list over all relabelings that
-    respect the refinement classes (equal iff isomorphic). It serves corpus
-    dedupe only (`isomorphism_representatives`, `are_isomorphic`); the
-    homology memo keys on exact relabelled adjacency instead."""
+    respect the refinement classes (equal iff isomorphic). It serves
+    dedupe only (the corpus class builder, `isomorphism_representatives`,
+    `are_isomorphic`); the homology memo keys on exact relabelled adjacency
+    instead."""
     classes = _refinement_classes(g)
     best: tuple[Edge, ...] | None = None
     for perms in itertools.product(*(itertools.permutations(c) for c in classes)):

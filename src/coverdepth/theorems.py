@@ -24,26 +24,24 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import GuardError, InputError
+from . import homology
+from ._bits import iter_bits
+from .errors import DEFAULT_ENUM_GUARD, GuardError, InputError, check_guard
 from .graphs import (
     NEG_INF,
     Graph,
     OrderedProfile,
-    enumerate_graphs,
+    all_pairs,
+    canonical_form,
     independence_number,
     induced_matching_number,
     is_bipartite,
     isolated_vertices,
-    isomorphism_representatives,
     ordered_matching_number,
     ordered_profile,
     whisker,
 )
-from .homology import (
-    RATIONALS,
-    FieldChoice,
-    depth_symbolic_cover,
-)
+from .homology import RATIONALS, FieldChoice
 from .ideals import cover_ideal, equal, power, symbolic_power_cover
 from .layered import (
     as_plain_graph,
@@ -185,6 +183,28 @@ def _observed_stabilization(depths: dict[int, int], limit: int) -> int | None:
     return start
 
 
+# Depths computed so far in the running `run_corpus` call, keyed by
+# (n, adjacency masks, k, characteristic); None outside such a call.
+_DEPTH_MEMO: dict[tuple, int] | None = None
+
+
+def _depth(g: Graph, k: int, f: FieldChoice, guard: int | None) -> int:
+    """depth(S/J(g)^(k)) by `homology.depth_symbolic_cover`, looked up at
+    call time so that wrappers set on the module see every call.
+
+    Inside `run_corpus` a depth already computed for the same labelled
+    graph, k and field is read from `_DEPTH_MEMO`; a guard hit raises and
+    is never stored. Outside it every call computes afresh, so single
+    verifier calls never read a value another call left behind."""
+    memo = _DEPTH_MEMO
+    if memo is None:
+        return homology.depth_symbolic_cover(g, k, f, guard)
+    key = (g.n, g.adj, k, f.char)
+    if key not in memo:
+        memo[key] = homology.depth_symbolic_cover(g, k, f, guard)
+    return memo[key]
+
+
 def _depths(
     g: Graph, ks: Iterable[int], f: FieldChoice, guard: int | None
 ) -> tuple[dict[int, int], str | None]:
@@ -193,7 +213,7 @@ def _depths(
     depths: dict[int, int] = {}
     for k in ks:
         try:
-            depths[k] = depth_symbolic_cover(g, k, f, guard)
+            depths[k] = _depth(g, k, f, guard)
         except GuardError as err:
             return depths, f"k={k}: {err}"
     return depths, None
@@ -326,7 +346,7 @@ def verify_regind(
     guard_notes = {}
     for k in (threshold, threshold + 1):
         try:
-            reg = g.n - depth_symbolic_cover(g, k, f, guard)
+            reg = g.n - _depth(g, k, f, guard)
         except GuardError as err:
             guard_notes[f"k={k}"] = str(err)
             continue
@@ -356,7 +376,7 @@ def verify_reg_upper(
         raise InputError("needs a graph with at least one edge")
     instance = {"graph": _graph_json(g), "field": f.label}
     try:
-        reg = g.n - depth_symbolic_cover(g, 1, f, guard)
+        reg = g.n - _depth(g, 1, f, guard)
     except GuardError as err:
         return VerificationOutcome(
             "regupper", instance, "skipped", {"reason": str(err)}
@@ -518,13 +538,45 @@ def clique_partitions(g: Graph) -> Iterator[list[tuple[int, ...]]]:
     yield from rec(tuple(g.vertices))
 
 
+def _smallest_mask(g: Graph) -> int:
+    """The smallest edge bitmask (bit i for the i-th pair of `all_pairs`)
+    over all relabellings of g: the copy `enumerate_graphs` yields first."""
+    bit = [[0] * g.n for _ in range(g.n)]
+    for i, (u, v) in enumerate(all_pairs(g.n)):
+        bit[u - 1][v - 1] = bit[v - 1][u - 1] = 1 << i
+    edges = [(u - 1, v - 1) for u, v in g.edges]
+    return min(
+        sum(bit[p[u]][p[v]] for u, v in edges)
+        for p in itertools.permutations(range(g.n))
+    )
+
+
 def _corpus_graphs(max_vertices: int, no_isolated: bool) -> list[Graph]:
-    """One graph per isomorphism class on up to `max_vertices` vertices."""
-    out: list[Graph] = []
-    for n in range(2 if no_isolated else 1, max_vertices + 1):
-        batch = enumerate_graphs(n, no_isolated=no_isolated)
-        out.extend(isomorphism_representatives(batch))
-    return out
+    """One graph per isomorphism class on up to `max_vertices` vertices,
+    the same graphs in the same order as `isomorphism_representatives` of
+    each `enumerate_graphs(n, no_isolated=...)`: per n, the copy with the
+    smallest edge bitmask, classes ordered by that mask.
+
+    The classes on n vertices are built by vertex extension (Read 1978;
+    McKay 1998): each class on n - 1 vertices gains a vertex n with every
+    possible neighbourhood, and `canonical_form` drops repeats. Isolated
+    vertices do not depend on the labelling, so `no_isolated` only filters.
+    The enumeration guard bounds `max_vertices` before any class is built."""
+    check_guard(max_vertices, None, DEFAULT_ENUM_GUARD,
+                "enumeration of {cost}-vertex graphs exceeds guard {limit}")
+    level = [Graph(1, frozenset())] if max_vertices >= 1 else []
+    out = list(level)
+    for n in range(2, max_vertices + 1):
+        found: dict[tuple, Graph] = {}
+        for h in level:
+            for nbrs in range(1 << (n - 1)):
+                g = Graph(n, h.edges | {(v + 1, n) for v in iter_bits(nbrs)})
+                found.setdefault(canonical_form(g), g)
+        pairs = all_pairs(n)
+        masks = sorted(_smallest_mask(g) for g in found.values())
+        level = [Graph(n, frozenset(pairs[i] for i in iter_bits(m))) for m in masks]
+        out.extend(level)
+    return [g for g in out if _no_isolated(g)] if no_isolated else out
 
 
 @dataclass(frozen=True)
@@ -594,27 +646,36 @@ def run_corpus(
     """Runs the requested verifiers over every graph without isolated
     vertices on up to `max_vertices` vertices (whiskered instances are built
     from all graphs on up to four vertices and every clique partition).
-    The report order is deterministic and independent of `jobs`."""
+    The report order is deterministic and independent of `jobs`.
+
+    The graph classes are built once, and while the verifiers run each
+    depth is computed once per labelled graph, k and field (`_depth`)."""
     requested = tuple(tid for tid in THEOREM_IDS if tid in set(theorems))
     unknown = set(theorems) - set(THEOREM_IDS)
     if unknown:
         raise InputError(f"unknown theorem ids {sorted(unknown)}")
     if jobs < 1:
         raise InputError("jobs must be >= 1")
-    corpus = _corpus_graphs(max_vertices, no_isolated=True)
+    classes = _corpus_graphs(max_vertices, no_isolated=False)
+    corpus = [g for g in classes if _no_isolated(g)]
     items: list[tuple] = []
     for tid in requested:
         spec = VERIFIERS[tid]
         if spec.takes_partition:
-            bases = _corpus_graphs(min(max_vertices, WHISKER_BASE_LIMIT), no_isolated=False)
+            bases = [g for g in classes if g.n <= WHISKER_BASE_LIMIT]
             instances = [(g, pi) for g in bases for pi in clique_partitions(g)]
         else:
             instances = [(g, None) for g in corpus if spec.applies(g, None)]
         items.extend((tid, g, pi, k_max, field, guard) for g, pi in instances)
-    if jobs == 1:
-        return [_run_item(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_run_item, items, chunksize=8))
+    global _DEPTH_MEMO
+    _DEPTH_MEMO = {}
+    try:
+        if jobs == 1:
+            return [_run_item(item) for item in items]
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(_run_item, items, chunksize=8))
+    finally:
+        _DEPTH_MEMO = None
 
 
 def instance_hash(instance: dict) -> str:

@@ -7,6 +7,7 @@ import hashlib
 import importlib.util
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -299,6 +300,15 @@ def test_verify_all_report_pinned(tmp_path, capsys):
         "95fc5350b57fb8f6ad67ea10e498fa6cbaa255aa05d83714eba6a96b2b390f54"
     )
     capsys.readouterr()
+
+
+def test_verify_all_enumeration_guard_fires_before_any_work(capsys):
+    """Past the enumeration guard (7 vertices) the corpus run is refused
+    with exit 3 before any graph class is built."""
+    start = time.perf_counter()
+    assert main(["verify", "all", "--max-vertices", "8"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "enumeration of 8-vertex graphs exceeds guard 7" in capsys.readouterr().err
 
 
 def test_verify_csv_format(files, capsys):

@@ -13,7 +13,12 @@ from hypothesis import strategies as st
 
 from coverdepth import cli, graphs, homology, theorems
 from coverdepth.errors import ConsistencyError, InputError
-from coverdepth.graphs import Graph, isolated_vertices
+from coverdepth.graphs import (
+    Graph,
+    enumerate_graphs,
+    isolated_vertices,
+    isomorphism_representatives,
+)
 from coverdepth.homology import F2, RATIONALS
 from coverdepth.theorems import (
     THEOREM_IDS,
@@ -284,10 +289,82 @@ def test_run_corpus_is_deterministic_and_parallel_safe():
 def test_run_corpus_subset_and_errors():
     out = run_corpus(max_vertices=3, k_max=2, theorems=("regupper",))
     assert {o.theorem_id for o in out} == {"regupper"}
+    assert run_corpus(max_vertices=0) == []
     with pytest.raises(InputError):
         run_corpus(max_vertices=3, theorems=("nope",))
     with pytest.raises(InputError):
         run_corpus(max_vertices=3, jobs=0)
+
+
+@pytest.mark.parametrize("no_isolated", [False, True])
+def test_corpus_classes_match_labelled_enumeration(graph_classes, no_isolated):
+    """The classes built by vertex extension are the graphs that
+    isomorphism_representatives(enumerate_graphs(n, no_isolated=...)) yields,
+    in the same order, for every n <= 6; the labelled side is the session
+    fixture, filtered for isolated vertices (checked against the flag for
+    n <= 5)."""
+    def labelled(n):
+        reps = graph_classes[n]
+        return [g for g in reps if all(g.adj)] if no_isolated else reps
+
+    for n in range(1, 6):
+        want = isomorphism_representatives(enumerate_graphs(n, no_isolated=True))
+        assert want == [g for g in graph_classes[n] if all(g.adj)]
+    built = theorems._corpus_graphs(6, no_isolated=no_isolated)
+    for n in range(1, 7):
+        assert [g for g in built if g.n == n] == labelled(n)
+    assert built == [g for n in range(1, 7) for g in labelled(n)]
+
+
+def test_corpus_class_counts():
+    """Graph classes on n = 1..6 vertices (OEIS A000088)."""
+    built = theorems._corpus_graphs(6, no_isolated=False)
+    assert [sum(1 for g in built if g.n == n) for n in range(1, 7)] == [1, 2, 4, 11, 34, 156]
+
+
+def test_run_corpus_depth_memo_matches_cold_calls():
+    """Each outcome of a corpus run, which reads repeated depths from the
+    run's memo, equals a cold call of its verifier on the same instance."""
+    out = run_corpus(max_vertices=4, k_max=3)
+    assert theorems._DEPTH_MEMO is None
+    for o in out:
+        g = Graph(o.instance["graph"]["n"], map(tuple, o.instance["graph"]["edges"]))
+        pi = o.instance.get("partition")
+        cold = theorems.VERIFIERS[o.theorem_id].call(g, pi, 3, RATIONALS, None)
+        assert cold.to_json() == o.to_json()
+
+
+def test_run_corpus_sweeps_each_layered_graph_once(monkeypatch):
+    """Within one run no (G_k, field) pair reaches route B twice, the memo
+    is live while the verifiers run, and it is gone once the run returns."""
+    seen = []
+    live = []
+    sweep, depth = homology.reg_edge_ideal_layered, homology.depth_symbolic_cover
+
+    def counting_sweep(gk, f=RATIONALS):
+        seen.append((gk, f.char))
+        return sweep(gk, f)
+
+    def watched_depth(*args):
+        live.append(theorems._DEPTH_MEMO is not None)
+        return depth(*args)
+
+    monkeypatch.setattr(homology, "reg_edge_ideal_layered", counting_sweep)
+    monkeypatch.setattr(homology, "depth_symbolic_cover", watched_depth)
+    run_corpus(max_vertices=4, k_max=3)
+    assert seen and len(seen) == len(set(seen))
+    assert live and all(live)
+    assert theorems._DEPTH_MEMO is None
+
+
+@pytest.mark.parametrize("by", [1, -1], ids=["up", "down"])
+def test_run_corpus_memo_never_hides_a_fault(monkeypatch, by):
+    """A kernel fault raises ConsistencyError on a graph's first depth in a
+    corpus run, memo or not, and the memo is gone after the raise."""
+    _shift_ind_dims(monkeypatch, by)
+    with pytest.raises(ConsistencyError):
+        run_corpus(max_vertices=4)
+    assert theorems._DEPTH_MEMO is None
 
 
 def test_verifier_calls_bind_late(monkeypatch, tmp_path, capsys):
