@@ -24,6 +24,11 @@ One search, :func:`ordered_profile`, yields t, every s-ordered size with its
 certificate, and a largest ordered matching with independent b-side. This is
 exact: both conditions are inherited by prefixes, so a search restricted to
 either visits exactly the valid nodes of the plain search, in the same order.
+
+Isomorphism classes have one canonical form, :func:`canonical_form`: the
+smallest edge bitmask over all relabelings, found by one pruned search. It
+dedupes, and it picks each class's representative in
+:func:`isomorphism_classes`.
 """
 
 from __future__ import annotations
@@ -349,42 +354,30 @@ def is_bipartite(g: Graph) -> tuple[bool, dict[int, int] | None]:
     return True, {v + 1: 0 if sides[0] >> v & 1 else 1 for v in range(g.n)}
 
 
-def _is_connected(g: Graph) -> bool:
-    """Flood-fill from vertex 1 over the neighbour masks."""
-    comp = frontier = 1
-    while frontier:
-        grown = comp
-        for v in iter_bits(frontier):
-            grown |= g.adj[v]
-        frontier = grown & ~comp
-        comp = grown
-    return comp == (1 << g.n) - 1
-
-
 def all_pairs(n: int) -> list[Edge]:
     return [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
 
 
+def _mask_graph(n: int, pairs: Sequence[Edge], mask: int) -> Graph:
+    """The graph on 1..n whose edges are the pairs at the set bits of `mask`
+    (bit i for `pairs[i]`, as `all_pairs(n)` orders them)."""
+    return Graph(n, frozenset(pairs[i] for i in iter_bits(mask)))
+
+
 def enumerate_graphs(
-    n: int,
-    *,
-    connected: bool = False,
-    no_isolated: bool = False,
-    guard: int | None = None,
+    n: int, *, no_isolated: bool = False, guard: int | None = None
 ) -> Iterator[Graph]:
-    """All labeled graphs on 1..n in edge-bitmask order, with filters."""
+    """All labeled graphs on 1..n in edge-bitmask order, optionally only
+    those without isolated vertices."""
     if n < 1:
         raise InputError("n must be >= 1")
     check_guard(n, guard, DEFAULT_ENUM_GUARD,
                 "enumeration of {cost}-vertex graphs exceeds guard {limit}")
     pairs = all_pairs(n)
     for mask in range(1 << len(pairs)):
-        g = Graph(n, frozenset(pairs[i] for i in range(len(pairs)) if mask >> i & 1))
-        if no_isolated and not all(g.adj):
-            continue
-        if connected and not _is_connected(g):
-            continue
-        yield g
+        g = _mask_graph(n, pairs, mask)
+        if not no_isolated or all(g.adj):
+            yield g
 
 
 def relabel(g: Graph, perm: dict[int, int]) -> Graph:
@@ -394,47 +387,84 @@ def relabel(g: Graph, perm: dict[int, int]) -> Graph:
     return graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
-def _refinement_classes(g: Graph) -> list[list[int]]:
-    """Iterated neighbor-color refinement; classes ordered canonically. A
-    round only splits classes, so the partition is stable once its size is."""
-    colors = [a.bit_count() for a in g.adj]
-    while True:
-        sigs = [
-            (colors[v], tuple(sorted(colors[u] for u in iter_bits(a))))
-            for v, a in enumerate(g.adj)
-        ]
-        order = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
-        stable = len(order) == len(set(colors))
-        colors = [order[sig] for sig in sigs]
-        if stable:
-            break
-    classes: dict[int, list[int]] = {}
-    for v, c in enumerate(colors, start=1):
-        classes.setdefault(c, []).append(v)
-    return [classes[c] for c in sorted(classes)]
+def _smallest_code(placed: tuple[int, ...], free: int) -> tuple[int, int]:
+    """The smallest code among the `free` vertices, and the free vertices
+    that have it. A vertex's code is its adjacency to the `placed` vertices
+    (their neighbour masks, in placing order), the earliest placed as the
+    most significant bit; each placed vertex in turn keeps the candidates
+    it misses, if any."""
+    code = 0
+    for a in placed:
+        missed = free & ~a
+        code <<= 1
+        if missed:
+            free = missed
+        else:
+            code |= 1
+    return code, free
 
 
-def canonical_form(g: Graph) -> tuple[int, tuple[Edge, ...]]:
-    """A canonical labeled copy: minimal edge list over all relabelings that
-    respect the refinement classes (equal iff isomorphic). It serves
-    dedupe only (the corpus class builder, `isomorphism_representatives`,
-    `are_isomorphic`); the homology memo keys on exact relabelled adjacency
-    instead."""
-    classes = _refinement_classes(g)
-    best: tuple[Edge, ...] | None = None
-    for perms in itertools.product(*(itertools.permutations(c) for c in classes)):
-        # the classes keep their order, each taking the next block of labels
-        mapping = {v: i for i, v in enumerate(itertools.chain(*perms), start=1)}
-        candidate = tuple(
-            sorted(
-                (min(mapping[u], mapping[v]), max(mapping[u], mapping[v]))
-                for u, v in g.edges
-            )
-        )
-        if best is None or candidate < best:
-            best = candidate
-    assert best is not None
-    return g.n, best
+def canonical_form(g: Graph) -> tuple[int, int]:
+    """(n, m) with m the smallest edge bitmask (bit i for the i-th pair of
+    `all_pairs(n)`) over all relabelings of g: the copy `enumerate_graphs`
+    meets first. Equal iff isomorphic.
+
+    Labels are placed from n down. Placing label j fixes the bits of pairs
+    (j, n), ..., (j, j + 1), the highest not yet fixed, to the placed
+    vertex's code (see `_smallest_code`). So a prefix of placements stays
+    only while its bits are minimal, and only free vertices of smallest code
+    extend it. Of two free twins (N(u) - v = N(v) - u) one is tried: their
+    transposition is an automorphism fixing every placed vertex."""
+    n, adj = g.n, g.adj
+    twins = [
+        sum(1 << u for u in range(n) if not (a ^ adj[u]) & ~(1 << u | 1 << v))
+        for v, a in enumerate(adj)
+    ]
+    mask = 0
+    # prefixes of equal bits: (placed neighbour masks, free, code, candidates)
+    prefixes = [((), (1 << n) - 1, 0, (1 << n) - 1)]
+    for j in range(n, 0, -1):
+        best = min(code for _, _, code, _ in prefixes)
+        mask |= best << (j - 1) * (2 * n - j) // 2  # the index of pair (j, j + 1)
+        extended = []
+        for placed, free, code, candidates in prefixes:
+            if code != best:
+                continue
+            tried = 0
+            for v in iter_bits(candidates):
+                if not twins[v] & tried:
+                    tried |= 1 << v
+                    ext, rest = placed + (adj[v],), free & ~(1 << v)
+                    extended.append((ext, rest, *_smallest_code(ext, rest)))
+        prefixes = extended
+    return n, mask
+
+
+def isomorphism_classes(max_vertices: int) -> list[Graph]:
+    """One graph per isomorphism class on 1..`max_vertices` vertices,
+    isolated vertices included: per n, each class's copy with the smallest
+    edge bitmask, classes ordered by that mask. These are the graphs, in
+    order, that `isomorphism_representatives(enumerate_graphs(n))` yields.
+
+    The classes on n vertices are built by vertex extension (Read 1978;
+    McKay 1998): each class on n - 1 vertices gains a vertex n with every
+    possible neighbourhood, and the canonical masks are collected and
+    sorted. The enumeration guard bounds `max_vertices` before any class is
+    built."""
+    check_guard(max_vertices, None, DEFAULT_ENUM_GUARD,
+                "enumeration of {cost}-vertex graphs exceeds guard {limit}")
+    level = [Graph(1, frozenset())] if max_vertices >= 1 else []
+    classes = list(level)
+    for n in range(2, max_vertices + 1):
+        masks = {
+            canonical_form(Graph(n, h.edges | {(v + 1, n) for v in iter_bits(nbrs)}))[1]
+            for h in level
+            for nbrs in range(1 << (n - 1))
+        }
+        pairs = all_pairs(n)
+        level = [_mask_graph(n, pairs, m) for m in sorted(masks)]
+        classes.extend(level)
+    return classes
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
@@ -443,7 +473,7 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 
 def isomorphism_representatives(graphs: Iterable[Graph]) -> list[Graph]:
     """First representative of each isomorphism class, in input order."""
-    seen: set[tuple[int, tuple[Edge, ...]]] = set()
+    seen: set[tuple[int, int]] = set()
     reps: list[Graph] = []
     for g in graphs:
         key = canonical_form(g)

@@ -25,18 +25,16 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import homology
-from ._bits import iter_bits
-from .errors import DEFAULT_ENUM_GUARD, GuardError, InputError, check_guard
+from .errors import GuardError, InputError
 from .graphs import (
     NEG_INF,
     Graph,
     OrderedProfile,
-    all_pairs,
-    canonical_form,
     independence_number,
     induced_matching_number,
     is_bipartite,
     isolated_vertices,
+    isomorphism_classes,
     ordered_matching_number,
     ordered_profile,
     whisker,
@@ -538,47 +536,6 @@ def clique_partitions(g: Graph) -> Iterator[list[tuple[int, ...]]]:
     yield from rec(tuple(g.vertices))
 
 
-def _smallest_mask(g: Graph) -> int:
-    """The smallest edge bitmask (bit i for the i-th pair of `all_pairs`)
-    over all relabellings of g: the copy `enumerate_graphs` yields first."""
-    bit = [[0] * g.n for _ in range(g.n)]
-    for i, (u, v) in enumerate(all_pairs(g.n)):
-        bit[u - 1][v - 1] = bit[v - 1][u - 1] = 1 << i
-    edges = [(u - 1, v - 1) for u, v in g.edges]
-    return min(
-        sum(bit[p[u]][p[v]] for u, v in edges)
-        for p in itertools.permutations(range(g.n))
-    )
-
-
-def _corpus_graphs(max_vertices: int, no_isolated: bool) -> list[Graph]:
-    """One graph per isomorphism class on up to `max_vertices` vertices,
-    the same graphs in the same order as `isomorphism_representatives` of
-    each `enumerate_graphs(n, no_isolated=...)`: per n, the copy with the
-    smallest edge bitmask, classes ordered by that mask.
-
-    The classes on n vertices are built by vertex extension (Read 1978;
-    McKay 1998): each class on n - 1 vertices gains a vertex n with every
-    possible neighbourhood, and `canonical_form` drops repeats. Isolated
-    vertices do not depend on the labelling, so `no_isolated` only filters.
-    The enumeration guard bounds `max_vertices` before any class is built."""
-    check_guard(max_vertices, None, DEFAULT_ENUM_GUARD,
-                "enumeration of {cost}-vertex graphs exceeds guard {limit}")
-    level = [Graph(1, frozenset())] if max_vertices >= 1 else []
-    out = list(level)
-    for n in range(2, max_vertices + 1):
-        found: dict[tuple, Graph] = {}
-        for h in level:
-            for nbrs in range(1 << (n - 1)):
-                g = Graph(n, h.edges | {(v + 1, n) for v in iter_bits(nbrs)})
-                found.setdefault(canonical_form(g), g)
-        pairs = all_pairs(n)
-        masks = sorted(_smallest_mask(g) for g in found.values())
-        level = [Graph(n, frozenset(pairs[i] for i in iter_bits(m))) for m in masks]
-        out.extend(level)
-    return [g for g in out if _no_isolated(g)] if no_isolated else out
-
-
 @dataclass(frozen=True)
 class Verifier:
     """Registry entry for one theorem id.
@@ -656,7 +613,7 @@ def run_corpus(
         raise InputError(f"unknown theorem ids {sorted(unknown)}")
     if jobs < 1:
         raise InputError("jobs must be >= 1")
-    classes = _corpus_graphs(max_vertices, no_isolated=False)
+    classes = isomorphism_classes(max_vertices)
     corpus = [g for g in classes if _no_isolated(g)]
     items: list[tuple] = []
     for tid in requested:

@@ -109,6 +109,19 @@ def brute_ordered_matching(
     return best
 
 
+def brute_smallest_mask(n: int, edges: set[tuple[int, int]]) -> int:
+    """Smallest edge bitmask over all n! relabellings, bit i standing for
+    the i-th pair (u, v), u < v, in lexicographic order."""
+    bit = {
+        pair: 1 << i
+        for i, pair in enumerate(itertools.combinations(range(1, n + 1), 2))
+    }
+    return min(
+        sum(bit[min(p[u - 1], p[v - 1]), max(p[u - 1], p[v - 1])] for u, v in edges)
+        for p in itertools.permutations(range(1, n + 1))
+    )
+
+
 def brute_minimal_vertex_covers(n: int, edges: set[tuple[int, int]]) -> list[frozenset[int]]:
     covers = []
     for r in range(0, n + 1):

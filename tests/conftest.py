@@ -44,6 +44,6 @@ def pytest_runtest_logreport(report):
 def graph_classes() -> dict[int, list[Graph]]:
     """Isomorphism representatives of every graph on n <= 6 vertices,
     isolated vertices included, keyed by n. The six-vertex classes take
-    about 5 s (2^15 canonical forms), so they are enumerated once per
+    about 3 s (2^15 canonical forms), so they are enumerated once per
     session."""
     return {n: isomorphism_representatives(enumerate_graphs(n)) for n in range(1, 7)}

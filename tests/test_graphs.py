@@ -44,6 +44,7 @@ from _oracles import (
     brute_alpha,
     brute_induced_matching,
     brute_ordered_matching,
+    brute_smallest_mask,
 )
 
 
@@ -284,9 +285,7 @@ def test_is_bipartite():
 
 def test_enumerate_counts():
     assert sum(1 for _ in enumerate_graphs(3)) == 8
-    assert sum(1 for _ in enumerate_graphs(3, connected=True)) == 4
     assert sum(1 for _ in enumerate_graphs(3, no_isolated=True)) == 4
-    assert sum(1 for _ in enumerate_graphs(4, no_isolated=True, connected=True)) == 38
     with pytest.raises(GuardError):
         list(enumerate_graphs(8))
 
@@ -307,6 +306,22 @@ def test_canonical_form_examples():
     assert not are_isomorphic(path(4), cycle(4))
     assert not are_isomorphic(K33, PRISM)  # both 3-regular on 6 vertices
     assert canonical_form(path(4)) == canonical_form(graph(4, [(3, 1), (1, 4), (4, 2)]))
+
+
+def test_canonical_form_is_the_smallest_mask_on_all_small_graphs():
+    """On every labelled graph on <= 5 vertices, the pruned search finds the
+    brute-force minimum over all n! relabellings."""
+    for n in range(1, 6):
+        for g in enumerate_graphs(n):
+            assert canonical_form(g) == (n, brute_smallest_mask(n, set(g.edges)))
+
+
+def test_six_vertex_representatives_are_their_own_canonical_copies(graph_classes):
+    """Each six-vertex class's first labelled copy is its smallest-mask copy,
+    so its own edge bitmask is its canonical form."""
+    index = {pair: i for i, pair in enumerate(all_pairs(6))}
+    for g in graph_classes[6]:
+        assert canonical_form(g) == (6, sum(1 << index[e] for e in g.edges))
 
 
 # ---------------------------------------------------------------------------
@@ -405,11 +420,7 @@ def test_mask_searches_match_oracles_on_all_small_graphs():
             assert all(coloring[u] != coloring[v] for u, v in edges)
         else:
             assert coloring is None
-    # labelled connected graphs and graphs without isolated vertices
-    # (OEIS A001187 and A006129)
-    assert [len(list(enumerate_graphs(n, connected=True))) for n in range(1, 6)] == [
-        1, 1, 4, 38, 728
-    ]
+    # labelled graphs without isolated vertices (OEIS A006129)
     assert [len(list(enumerate_graphs(n, no_isolated=True))) for n in range(1, 6)] == [
         0, 1, 4, 41, 768
     ]

@@ -298,7 +298,8 @@ def test_run_corpus_subset_and_errors():
 
 @pytest.mark.parametrize("no_isolated", [False, True])
 def test_corpus_classes_match_labelled_enumeration(graph_classes, no_isolated):
-    """The classes built by vertex extension are the graphs that
+    """The classes built by vertex extension, filtered for isolated vertices
+    as `run_corpus` does, are the graphs that
     isomorphism_representatives(enumerate_graphs(n, no_isolated=...)) yields,
     in the same order, for every n <= 6; the labelled side is the session
     fixture, filtered for isolated vertices (checked against the flag for
@@ -310,16 +311,20 @@ def test_corpus_classes_match_labelled_enumeration(graph_classes, no_isolated):
     for n in range(1, 6):
         want = isomorphism_representatives(enumerate_graphs(n, no_isolated=True))
         assert want == [g for g in graph_classes[n] if all(g.adj)]
-    built = theorems._corpus_graphs(6, no_isolated=no_isolated)
+    built = graphs.isomorphism_classes(6)
+    if no_isolated:
+        built = [g for g in built if all(g.adj)]
     for n in range(1, 7):
         assert [g for g in built if g.n == n] == labelled(n)
     assert built == [g for n in range(1, 7) for g in labelled(n)]
 
 
 def test_corpus_class_counts():
-    """Graph classes on n = 1..6 vertices (OEIS A000088)."""
-    built = theorems._corpus_graphs(6, no_isolated=False)
-    assert [sum(1 for g in built if g.n == n) for n in range(1, 7)] == [1, 2, 4, 11, 34, 156]
+    """Graph classes on n = 1..7 vertices (OEIS A000088)."""
+    built = graphs.isomorphism_classes(7)
+    assert [sum(1 for g in built if g.n == n) for n in range(1, 8)] == [
+        1, 2, 4, 11, 34, 156, 1044
+    ]
 
 
 def test_run_corpus_depth_memo_matches_cold_calls():
