@@ -20,10 +20,13 @@ alpha(G) and the induced matching number are largest cliques, of the
 complement and of the edge-compatibility graph (edges that are disjoint and
 span no cross edge), both found by one branch and bound, :func:`_max_clique`.
 
-One search, :func:`ordered_profile`, yields t, every s-ordered size with its
-certificate, and a largest ordered matching with independent b-side. This is
-exact: both conditions are inherited by prefixes, so a search restricted to
-either visits exactly the valid nodes of the plain search, in the same order.
+One branch and bound, `_ordered_search`, yields t, every s-ordered size with
+its certificate, and a largest ordered matching with independent b-side
+(:func:`ordered_profile`), or t alone, which prunes more
+(:func:`ordered_matching_number`). Both conditions are inherited by prefixes,
+so a search restricted to either visits the valid nodes of the plain search
+in the same order, and its size bound drops only subtrees that cannot
+strictly beat a record, so no size or certificate depends on the bound.
 
 Isomorphism classes have one canonical form, :func:`canonical_form`: the
 smallest edge bitmask over all relabelings, found by one pruned search. It
@@ -130,23 +133,17 @@ def independence_number(g: Graph) -> int:
     return _max_clique([full & ~(a | 1 << v) for v, a in enumerate(g.adj)])
 
 
-def _edges_compatible(g: Graph, e: Edge, f: Edge) -> bool:
-    """Disjoint and spanning no cross edge: the induced-matching condition,
-    i.e. f misses the closed neighbourhood of e."""
-    (a, b), (c, d) = e, f
-    closed = g.adj[a - 1] | g.adj[b - 1] | 1 << (a - 1) | 1 << (b - 1)
-    return not closed & (1 << (c - 1) | 1 << (d - 1))
-
-
 def induced_matching_number(g: Graph) -> int:
     """Largest number of edges forming an induced matching: the largest
-    clique of the edge-compatibility graph."""
+    clique of the edge-compatibility graph, where f is compatible with e
+    iff f misses e's closed neighbourhood."""
     edges = g.sorted_edges()
-    m = len(edges)
-    compat = [0] * m
-    for i in range(m):
-        for j in range(i + 1, m):
-            if _edges_compatible(g, edges[i], edges[j]):
+    ends = [1 << (u - 1) | 1 << (v - 1) for u, v in edges]
+    compat = [0] * len(edges)
+    for i, (u, v) in enumerate(edges):
+        closed = g.adj[u - 1] | g.adj[v - 1]  # u and v are each other's neighbours
+        for j in range(i + 1, len(edges)):
+            if not ends[j] & closed:
                 compat[i] |= 1 << j
                 compat[j] |= 1 << i
     return _max_clique(compat)
@@ -245,23 +242,39 @@ class OrderedProfile:
         return self.sizes.count(self.sizes[0])  # sizes do not increase with s
 
 
-def ordered_profile(g: Graph) -> OrderedProfile:
-    """Depth-first search over ordered matchings, recorded for every s.
+def _ordered_search(
+    g: Graph, top: int, track_b: bool
+) -> tuple[list[int], list[list[Pair] | None], tuple[int, list[Pair] | None]]:
+    """Depth-first branch and bound over ordered matchings, recorded for
+    s = 1..`top` and, if `track_b`, for an independent b-side.
 
     Appending (a, b) to an ordered prefix keeps it ordered iff a misses every
     used vertex, so each ordered matching is reached in its own order. Nodes
     come in preorder (edges ascending, (u,v) before (v,u)); each carries its
     smallest gap j - i over edges {a_i, b_j} with i < j (it is s-ordered iff
     gap >= s and size >= s) and its b-side mask, -1 once that side is not
-    independent. Vertex sets are bitmasks over `g.adj`.
+    independent. A record is replaced only by a strictly larger size.
+
+    The size bound: each pair below a child of r + 1 pairs takes its a from
+    the child's avail set (vertices neither used nor adjacent to a used one)
+    and two of its free vertices, so the subtree holds at most reach =
+    r + 1 + min(|avail|, free // 2) = min(r + 1 + |avail|, n // 2) pairs. A
+    node of size R is recorded for s <= min(gap, R) only, and sizes do not
+    increase with s, so R = reach is the best case: the child is entered iff
+    reach > sizes[min(gap, reach) - 1] or, with its b-side still independent,
+    reach > the b-side record. A pruned subtree cannot beat a record held
+    when it is pruned, and records only grow, so every record, certificate
+    included, is the one the unpruned walk finds.
     """
     edges = [(u, v, 1 << (u - 1) | 1 << (v - 1)) for u, v in g.sorted_edges()]
-    adj = g.adj
-    top = max(1, g.n // 2)  # no matching is larger, so no gap is either
+    n, adj = g.n, g.adj
+    cap = n // 2  # no matching is larger
     sizes, certs = [0] * top, [None] * top
     b_best: tuple[int, list[Pair] | None] = (0, None)
 
-    def extend(pairs: list[Pair], used: int, a_side: int, gap: int, b_side: int):
+    def extend(pairs: list[Pair], used: int, blocked: int, a_side: int, gap: int,
+               b_side: int) -> None:
+        # blocked: the used vertices and their neighbours, which no a can be
         nonlocal b_best
         r = len(pairs)
         s = gap if gap < r else r
@@ -270,31 +283,56 @@ def ordered_profile(g: Graph) -> OrderedProfile:
             s -= 1
         if b_side >= 0 and r > b_best[0]:
             b_best = (r, list(pairs))
+        base = r + 1 + n  # a child's reach is base less its blocked count
         for u, v, uv in edges:
             if used & uv:
                 continue
             for a, b in ((u, v), (v, u)):
-                if adj[a - 1] & used:
+                na = adj[a - 1]
+                if na & used:
                     continue
                 nb, new_gap = adj[b - 1], gap
-                if nb & a_side:  # the latest a_i adjacent to b sets the gap
+                # the latest a_i adjacent to b sets the gap, which never falls below 1
+                if gap > 1 and nb & a_side:
                     i = r
                     while not nb >> (pairs[i - 1][0] - 1) & 1:
                         i -= 1
                     new_gap = min(gap, r + 1 - i)
                 b_next = -1 if b_side < 0 or nb & b_side else b_side | 1 << (b - 1)
+                next_blocked = blocked | uv | na | nb
+                reach = base - next_blocked.bit_count()
+                if reach > cap:
+                    reach = cap
+                # reach >= 1 here; a reach below 1 beats no record and must
+                # not index sizes[-1]
+                if (reach < 1 or reach <= sizes[min(new_gap, reach) - 1]) and (
+                    b_next < 0 or reach <= b_best[0]
+                ):
+                    continue
                 pairs.append((a, b))
-                extend(pairs, used | uv, a_side | 1 << (a - 1), new_gap, b_next)
+                extend(pairs, used | uv, next_blocked, a_side | 1 << (a - 1), new_gap,
+                       b_next)
                 pairs.pop()
 
-    extend([], 0, 0, top, 0)
+    extend([], 0, 0, 0, top, 0 if track_b else -1)
+    return sizes, certs, b_best
+
+
+def ordered_profile(g: Graph) -> OrderedProfile:
+    """Every s-ordered size for s = 1..max(1, n // 2) with its certificate,
+    and a largest ordered matching with independent b-side, from one pruned
+    search (`_ordered_search`). No matching has more than n // 2 pairs, so
+    no larger s or gap can occur."""
+    sizes, certs, b_best = _ordered_search(g, max(1, g.n // 2), True)
     return OrderedProfile(tuple(sizes), tuple(certs), b_best)
 
 
 def ordered_matching_number(g: Graph) -> tuple[int, list[Pair] | None]:
     """Maximum size of an ordered matching, with one witnessing certificate
-    (None when the graph has no edges)."""
-    return ordered_profile(g).best(1)
+    (None when the graph has no edges): `ordered_profile(g).best(1)` from the
+    same search recording s = 1 only, so its bound prunes against t alone."""
+    sizes, certs, _ = _ordered_search(g, 1, False)
+    return sizes[0], certs[0]
 
 
 def s_ordered_matching_number(g: Graph, s: int):

@@ -109,6 +109,41 @@ def brute_ordered_matching(
     return best
 
 
+def unpruned_ordered_profile(n: int, edges: set[tuple[int, int]]):
+    """The ordered-matching search without a size bound: every valid node in
+    preorder (edges ascending, (u,v) before (v,u)), a record replaced only
+    by a strictly larger size. Returns (sizes, certs, b_independent) for
+    s = 1..max(1, n // 2), the fields of `graphs.OrderedProfile`."""
+    es = sorted(edges)
+    nbrs = {v: {u for e in es if v in e for u in e if u != v} for v in range(1, n + 1)}
+    top = max(1, n // 2)
+    sizes, certs = [0] * top, [None] * top
+    b_best = (0, None)
+
+    def extend(pairs, used, gap, b_ok):
+        nonlocal b_best
+        r = len(pairs)
+        for s in range(1, min(gap, r) + 1):
+            if sizes[s - 1] < r:
+                sizes[s - 1], certs[s - 1] = r, list(pairs)
+        if b_ok and r > b_best[0]:
+            b_best = (r, list(pairs))
+        for u, v in es:
+            if u in used or v in used:
+                continue
+            for a, b in ((u, v), (v, u)):
+                if nbrs[a] & used:
+                    continue
+                # the latest a_i adjacent to b sets the gap
+                earlier = [i for i, (ai, _) in enumerate(pairs, start=1) if ai in nbrs[b]]
+                new_gap = min(gap, r + 1 - max(earlier)) if earlier else gap
+                b_next = b_ok and not any(bj in nbrs[b] for _, bj in pairs)
+                extend(pairs + [(a, b)], used | {a, b}, new_gap, b_next)
+
+    extend([], set(), top, True)
+    return tuple(sizes), tuple(certs), b_best
+
+
 def brute_smallest_mask(n: int, edges: set[tuple[int, int]]) -> int:
     """Smallest edge bitmask over all n! relabellings, bit i standing for
     the i-th pair (u, v), u < v, in lexicographic order."""

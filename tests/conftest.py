@@ -11,7 +11,12 @@ import re
 
 import pytest
 
-from coverdepth.graphs import Graph, enumerate_graphs, isomorphism_representatives
+from coverdepth.graphs import (
+    Graph,
+    enumerate_graphs,
+    isomorphism_classes,
+    isomorphism_representatives,
+)
 
 _ACCEPTANCE_PATTERN = re.compile(r"test_acceptance_(\d+)_")
 
@@ -47,3 +52,10 @@ def graph_classes() -> dict[int, list[Graph]]:
     about 3 s (2^15 canonical forms), so they are enumerated once per
     session."""
     return {n: isomorphism_representatives(enumerate_graphs(n)) for n in range(1, 7)}
+
+
+@pytest.fixture(scope="session")
+def classes_up_to_7() -> list[Graph]:
+    """`isomorphism_classes(7)`: one graph per class on 1..7 vertices. The
+    vertex-extension build takes about 1.5 s, so it runs once per session."""
+    return isomorphism_classes(7)

@@ -7,14 +7,17 @@ random sample via hypothesis.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import pickle
 import random
+import textwrap
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coverdepth import graphs
 from coverdepth.errors import GuardError, InputError
 from coverdepth.graphs import (
     NEG_INF,
@@ -45,6 +48,7 @@ from _oracles import (
     brute_induced_matching,
     brute_ordered_matching,
     brute_smallest_mask,
+    unpruned_ordered_profile,
 )
 
 
@@ -188,6 +192,55 @@ def test_ordered_matching_frozen_values():
         assert size == t, name
         assert cert is not None and len(cert) == t
         assert is_ordered_matching(g, cert), name
+
+
+def _first_profile_mismatch(gs) -> Graph | None:
+    """The first graph on which the pruned ordered search differs from the
+    unpruned reference walk: in any size, certificate or b-side record of
+    `ordered_profile`, or in `ordered_matching_number`, certificate
+    included. None if there is no such graph."""
+    for g in gs:
+        profile = ordered_profile(g)
+        want = unpruned_ordered_profile(g.n, set(g.edges))
+        if (profile.sizes, profile.certs, profile.b_independent) != want:
+            return g
+        if ordered_matching_number(g) != profile.best(1):
+            return g
+    return None
+
+
+def _bound_test_graphs(graph_classes, classes_up_to_7) -> list[Graph]:
+    """Every labelled graph on <= 5 vertices and every class on 6 and 7."""
+    return [
+        *(g for n in range(1, 6) for g in enumerate_graphs(n)),
+        *graph_classes[6],
+        *(g for g in classes_up_to_7 if g.n == 7),
+    ]
+
+
+def test_pruned_ordered_search_matches_unpruned_reference(graph_classes, classes_up_to_7):
+    """The size bound drops only subtrees that cannot beat a record, so the
+    pruned search gives the unpruned walk's sizes, certificates and b-side
+    record, and the t-only search gives the profile's t and certificate, on
+    1 099 labelled graphs and 156 + 1 044 classes."""
+    gs = _bound_test_graphs(graph_classes, classes_up_to_7)
+    assert len(gs) == 1099 + 156 + 1044
+    assert _first_profile_mismatch(gs) is None
+
+
+def test_ordered_search_bound_fault_is_seen(monkeypatch, graph_classes, classes_up_to_7):
+    """A size bound one too tight (every child's reach one less) makes the
+    reference comparison report a mismatch. The fault is patched into a copy
+    of the search's source, so the search itself calls no test hook."""
+    source = textwrap.dedent(inspect.getsource(graphs._ordered_search))
+    faults = {"base = r + 1 + n": "base = r + n", "cap = n // 2": "cap = n // 2 - 1"}
+    for line, faulty in faults.items():
+        assert source.count(line) == 1, line
+        source = source.replace(line, faulty)
+    namespace = dict(vars(graphs))
+    exec(compile(source, graphs.__file__, "exec"), namespace)
+    monkeypatch.setattr(graphs, "_ordered_search", namespace["_ordered_search"])
+    assert _first_profile_mismatch(_bound_test_graphs(graph_classes, classes_up_to_7))
 
 
 def test_ordered_matching_edgeless():

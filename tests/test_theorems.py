@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import sys
 
 import pytest
 from hypothesis import assume, given, settings
@@ -319,9 +318,9 @@ def test_corpus_classes_match_labelled_enumeration(graph_classes, no_isolated):
     assert built == [g for n in range(1, 7) for g in labelled(n)]
 
 
-def test_corpus_class_counts():
+def test_corpus_class_counts(classes_up_to_7):
     """Graph classes on n = 1..7 vertices (OEIS A000088)."""
-    built = graphs.isomorphism_classes(7)
+    built = classes_up_to_7
     assert [sum(1 for g in built if g.n == n) for n in range(1, 8)] == [
         1, 2, 4, 11, 34, 156, 1044
     ]
@@ -420,18 +419,17 @@ def test_verifier_calls_bind_late(monkeypatch, tmp_path, capsys):
 )
 def test_one_ordered_search_per_graph(monkeypatch, run, searches):
     """Each caller reads the ordered numbers and certificates it needs off
-    one ordered_profile search per graph; calls are counted through every
-    coverdepth namespace that holds the function."""
+    one ordered search per graph. `ordered_profile` and
+    `ordered_matching_number` both run `graphs._ordered_search`, so its
+    calls count every ordered search."""
     calls = []
-    search = graphs.ordered_profile
+    search = graphs._ordered_search
 
-    def counting(g):
+    def counting(g, top, track_b):
         calls.append(g)
-        return search(g)
+        return search(g, top, track_b)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("coverdepth.") and vars(module).get("ordered_profile") is search:
-            monkeypatch.setattr(module, "ordered_profile", counting)
+    monkeypatch.setattr(graphs, "_ordered_search", counting)
     run()
     assert len(calls) == searches
 
