@@ -93,12 +93,6 @@ def parse_graph_text(text: str) -> Graph:
         raise ParseError(str(exc)) from exc
 
 
-def format_graph_text(g: Graph) -> str:
-    lines = [f"n {g.n}"]
-    lines.extend(f"{u} {v}" for u, v in g.sorted_edges())
-    return "\n".join(lines) + "\n"
-
-
 def parse_partition_text(text: str) -> list[tuple[int, ...]]:
     """Clique-partition file: one block per line, space-separated vertices."""
     blocks = []
@@ -118,45 +112,12 @@ def _layered_token(v: tuple[int, int]) -> str:
     return f"{v[0]}_{v[1]}"
 
 
-def _parse_layered_token(token: str) -> tuple[int, int]:
-    parts = token.split("_")
-    if len(parts) != 2 or not all(p.isdigit() for p in parts):
-        raise ParseError(f"bad layered vertex token {token!r}")
-    return int(parts[0]), int(parts[1])
-
-
 def format_layered_text(gk: LayeredGraph) -> str:
     lines = [f"n {gk.base_n} k {gk.k}"]
     lines.extend(
         f"{_layered_token(a)} {_layered_token(b)}" for a, b in gk.sorted_edges()
     )
     return "\n".join(lines) + "\n"
-
-
-def parse_layered_text(text: str) -> LayeredGraph:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ParseError("empty layered-graph file")
-    head = lines[0].split()
-    if (
-        len(head) != 4
-        or head[0] != "n"
-        or head[2] != "k"
-        or not (head[1].isdigit() and head[3].isdigit())
-    ):
-        raise ParseError(
-            f"layered file must start with 'n <count> k <power>', got {lines[0]!r}"
-        )
-    edges = set()
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ParseError(f"bad layered edge line {ln!r}")
-        edges.add(tuple(sorted((_parse_layered_token(parts[0]), _parse_layered_token(parts[1])))))
-    try:
-        return LayeredGraph(int(head[1]), int(head[3]), frozenset(edges))
-    except InputError as exc:
-        raise ParseError(str(exc)) from exc
 
 
 def _read_file(path: str) -> str:

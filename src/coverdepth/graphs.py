@@ -418,13 +418,6 @@ def enumerate_graphs(
             yield g
 
 
-def relabel(g: Graph, perm: dict[int, int]) -> Graph:
-    """Apply a vertex bijection 1..n -> 1..n."""
-    if sorted(perm) != list(g.vertices) or sorted(perm.values()) != list(g.vertices):
-        raise InputError("perm must be a bijection on the vertex set")
-    return graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
-
-
 def _smallest_code(placed: tuple[int, ...], free: int) -> tuple[int, int]:
     """The smallest code among the `free` vertices, and the free vertices
     that have it. A vertex's code is its adjacency to the `placed` vertices
@@ -503,10 +496,6 @@ def isomorphism_classes(max_vertices: int) -> list[Graph]:
         level = [_mask_graph(n, pairs, m) for m in sorted(masks)]
         classes.extend(level)
     return classes
-
-
-def are_isomorphic(g: Graph, h: Graph) -> bool:
-    return g.n == h.n and canonical_form(g) == canonical_form(h)
 
 
 def isomorphism_representatives(graphs: Iterable[Graph]) -> list[Graph]:

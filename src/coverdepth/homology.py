@@ -1,13 +1,13 @@
 """Exact homological invariants of monomial quotients.
 
-The pipeline: squarefree ideals become simplicial complexes, reduced homology
-is computed by exact ranks of boundary matrices, graded Betti numbers of the
-quotient come from summing restricted-complex homology over vertex subsets,
-and pd / reg / depth are read off the Betti table (depth through the
-projective-dimension complement in the original variable count). Every
-face list, the independent sets of a graph included, comes from one bitmask
-walk, `_faces_by_dim`; only the edge-ideal regularity sweep walks its
-subsets itself, because it prunes them by size (`_reg_sweep`).
+The pipeline: reduced homology is computed by exact ranks of boundary
+matrices, graded Betti numbers of the quotient come from summing
+restricted-complex homology over vertex subsets, and pd / reg / depth are
+read off the Betti table (depth through the projective-dimension complement
+in the original variable count). Every face list, the independent sets of
+a graph included, comes from one bitmask walk, `_faces_by_dim`; only the
+edge-ideal regularity sweep walks its subsets itself, because it prunes them
+by size (`_reg_sweep`).
 
 Two independent cross-checks keep the main engine honest: a Taylor-complex
 oracle that minimalizes the generator resolution by linear algebra, and a
@@ -73,7 +73,6 @@ from .ideals import (
     MonomialIdeal,
     alexander_dual,
     is_squarefree,
-    polarize,
     support,
     total_degree,
 )
@@ -113,66 +112,6 @@ class FieldChoice:
 
 RATIONALS = FieldChoice(0)
 F2 = FieldChoice(2)
-
-
-# ---------------------------------------------------------------------------
-# simplicial complexes
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SimplicialComplex:
-    """A simplicial complex given by its minimal non-faces: a subset of the
-    vertex set is a face iff it contains no minimal non-face. The empty
-    frozenset as a non-face encodes the void complex (no faces at all)."""
-
-    vertex_set: tuple
-    non_faces: frozenset[frozenset]
-
-    def __post_init__(self) -> None:
-        vs = set(self.vertex_set)
-        if len(vs) != len(self.vertex_set):
-            raise InputError("duplicate vertices in complex")
-        for nf in self.non_faces:
-            if not nf <= vs:
-                raise InputError(f"non-face {set(nf)} outside the vertex set")
-        for a in self.non_faces:
-            for b in self.non_faces:
-                if a < b:
-                    raise InputError("minimal non-faces must form an antichain")
-
-    @property
-    def is_void(self) -> bool:
-        return frozenset() in self.non_faces
-
-    def is_face(self, vertices) -> bool:
-        face = frozenset(vertices)
-        if not face <= set(self.vertex_set):
-            raise InputError(f"vertices {set(face)} outside the vertex set")
-        return not any(nf <= face for nf in self.non_faces)
-
-
-def stanley_reisner_complex(ideal: MonomialIdeal) -> SimplicialComplex:
-    """Complex on the ideal's variables whose minimal non-faces are the
-    supports of the minimal generators. Requires a squarefree, non-unit
-    ideal; the zero ideal gives the full simplex."""
-    if not is_squarefree(ideal):
-        raise InputError("Stanley-Reisner complex needs a squarefree ideal")
-    if ideal.is_unit:
-        raise InputError("the unit ideal has no Stanley-Reisner complex")
-    labels = ideal.ring.labels
-    non_faces = frozenset(
-        frozenset(labels[i] for i in support(m)) for m in ideal.gens
-    )
-    return SimplicialComplex(tuple(labels), non_faces)
-
-
-def independence_complex(g: Graph) -> SimplicialComplex:
-    """Faces are the independent vertex sets of g; minimal non-faces are the
-    edges. For an edgeless graph this is the full simplex."""
-    return SimplicialComplex(
-        tuple(range(1, g.n + 1)),
-        frozenset(frozenset(e) for e in g.edges),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -334,24 +273,6 @@ def _ind_dims(adj: tuple[int, ...], mask: int, char: int) -> dict[int, int]:
     return total
 
 
-def reduced_homology_dims(
-    c: SimplicialComplex,
-    f: FieldChoice = RATIONALS,
-    guard: int | None = None,
-) -> dict[int, int]:
-    """Reduced homology dimensions of the complex over the chosen field, for
-    every degree from -1 up to the complex dimension, from the face walk on
-    the vertices in sorted order. The void complex has no faces and returns
-    an empty map."""
-    check_guard(len(c.vertex_set), guard, DEFAULT_HOCHSTER_GUARD,
-                "complex has {cost} vertices, guard is {limit}")
-    if c.is_void:
-        return {}
-    bit = {v: 1 << i for i, v in enumerate(sorted(c.vertex_set))}
-    non_faces = [sum(bit[v] for v in nf) for nf in c.non_faces]
-    return _dims_from_faces(_faces_by_dim((1 << len(bit)) - 1, non_faces), f.char)
-
-
 # ---------------------------------------------------------------------------
 # Betti tables
 # ---------------------------------------------------------------------------
@@ -399,14 +320,6 @@ class BettiTable:
             "num_vars": self.num_vars,
             "entries": [[i, j, b] for i, j, b in self.entries],
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "BettiTable":
-        return cls(
-            int(data["num_vars"]),
-            tuple(sorted((int(i), int(j), int(b)) for i, j, b in data["entries"])),
-        )
-
 
 def _betti_from_counts(num_vars: int, counts: dict[tuple[int, int], int]) -> BettiTable:
     entries = tuple(sorted((i, j, b) for (i, j), b in counts.items() if b))
@@ -556,22 +469,8 @@ def taylor_betti_oracle(
 
 
 # ---------------------------------------------------------------------------
-# derived invariants
+# regularity and depth
 # ---------------------------------------------------------------------------
-
-def pd_reg_depth(
-    ideal: MonomialIdeal,
-    f: FieldChoice = RATIONALS,
-    guard: int | None = None,
-) -> tuple[int, int, int]:
-    """(pd, reg, depth) of the quotient ring. Non-squarefree input is
-    polarized first (pd and reg are preserved); depth is always counted in
-    the original variable space: depth = original variables - pd."""
-    original_vars = ideal.ring.num_vars
-    work = ideal if is_squarefree(ideal) else polarize(ideal)
-    table = betti_table_squarefree(work, f, guard)
-    return table.pd, table.reg, original_vars - table.pd
-
 
 def _reg_sweep(adj: tuple[int, ...], char: int) -> int:
     """Edge-ideal regularity of the graph with neighbour masks `adj`: one

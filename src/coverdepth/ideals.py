@@ -5,10 +5,10 @@ A ring is a tuple of variable labels; a label is either an integer i
 base variable i). Monomials are exponent tuples aligned with the ring's
 label order; an ideal stores its inclusion-minimal generators only.
 
-Operations: intersection (pairwise lcm), ordinary power, minimal primes,
-symbolic power (intersection of minimal-prime powers), the cover/edge ideals
-of a graph, polarization into the layered variable space, and squarefree
-Alexander duality (minimal hitting sets of generator supports).
+Operations: intersection (pairwise lcm), ordinary power, the cover/edge
+ideals of a graph and the symbolic powers of the cover ideal, polarization
+into the layered variable space, and squarefree Alexander duality (minimal
+hitting sets of generator supports).
 """
 
 from __future__ import annotations
@@ -129,21 +129,13 @@ def total_degree(mono: Monomial) -> int:
     return sum(mono)
 
 
-def divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
 def lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def contains_monomial(ideal: MonomialIdeal, mono: Monomial) -> bool:
-    return any(divides(g, mono) for g in ideal.gens)
-
-
 def _require_same_ring(a: MonomialIdeal, b: MonomialIdeal) -> None:
     if a.ring != b.ring:
-        raise InputError("ideals live in different rings; embed them first")
+        raise InputError("ideals live in different rings")
 
 
 def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
@@ -187,45 +179,6 @@ def cover_ideal(g: Graph) -> MonomialIdeal:
     return alexander_dual(edge_ideal(g))
 
 
-def minimal_primes(ideal: MonomialIdeal) -> list[tuple]:
-    """Minimal primes of a nonzero proper monomial ideal, each given as a
-    sorted tuple of variable labels; these are the minimal transversals of
-    the generator supports."""
-    if ideal.is_zero or ideal.is_unit:
-        raise InputError("minimal primes need a nonzero proper ideal")
-    support_masks = [mask_of(support(g)) for g in ideal.gens]
-    primes = []
-    for h in minimal_hitting_sets(support_masks):
-        primes.append(tuple(ideal.ring.labels[i] for i in iter_bits(h)))
-    return sorted(primes, key=lambda p: (len(p), p))
-
-
-def _prime_power(ring: Ring, prime_indices: tuple[int, ...], k: int) -> MonomialIdeal:
-    gens = []
-    for combo in itertools.combinations_with_replacement(prime_indices, k):
-        exps = [0] * ring.num_vars
-        for i in combo:
-            exps[i] += 1
-        gens.append(tuple(exps))
-    return MonomialIdeal(ring, frozenset(gens))
-
-
-def symbolic_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
-    """k-th symbolic power of a squarefree ideal: the intersection of the
-    k-th powers of its minimal primes."""
-    if not is_squarefree(ideal):
-        raise InputError("symbolic power implemented for squarefree ideals")
-    if k < 1:
-        raise InputError("symbolic power needs k >= 1")
-    result: MonomialIdeal | None = None
-    for prime in minimal_primes(ideal):
-        idx = tuple(ideal.ring.index(lab) for lab in prime)
-        pk = _prime_power(ideal.ring, idx, k)
-        result = pk if result is None else intersect(result, pk)
-    assert result is not None
-    return result
-
-
 def symbolic_power_cover(g: Graph, k: int) -> MonomialIdeal:
     """k-th symbolic power of the cover ideal of g.
 
@@ -235,7 +188,8 @@ def symbolic_power_cover(g: Graph, k: int) -> MonomialIdeal:
     u with a_u + a_v = k. A depth-first search sets a_1, a_2, ... in turn,
     each from max(0, k - a_u over earlier neighbours u) to k, and drops a
     branch once a vertex whose closed neighbourhood is set fails that test,
-    so its leaves are the minimal generators (tests check symbolic_power).
+    so its leaves are the minimal generators (its tests check it against
+    the brute-force `brute_symbolic_power_cover`).
     """
     if not g.edges:
         raise InputError("cover ideal needs at least one edge")
@@ -325,18 +279,6 @@ def equal(a: MonomialIdeal, b: MonomialIdeal) -> bool:
     return da == db
 
 
-def embed(ideal: MonomialIdeal, ring: Ring) -> MonomialIdeal:
-    """Re-express an ideal in a larger ring containing all its labels."""
-    positions = [ring.index(lab) for lab in ideal.ring.labels]
-    gens = []
-    for g in ideal.gens:
-        exps = [0] * ring.num_vars
-        for pos, e in zip(positions, g):
-            exps[pos] = e
-        gens.append(tuple(exps))
-    return MonomialIdeal(ring, frozenset(gens))
-
-
 # ---------------------------------------------------------------------------
 # text and JSON forms
 # ---------------------------------------------------------------------------
@@ -415,17 +357,3 @@ def parse_ideal_text(text: str) -> MonomialIdeal:
 def ideal_to_json(ideal: MonomialIdeal) -> dict:
     labels = [list(lab) if isinstance(lab, tuple) else lab for lab in ideal.ring.labels]
     return {"vars": labels, "gens": [list(g) for g in ideal.sorted_gens()]}
-
-
-def ideal_from_json(data: dict) -> MonomialIdeal:
-    try:
-        labels = tuple(
-            tuple(lab) if isinstance(lab, list) else int(lab) for lab in data["vars"]
-        )
-        gens = [tuple(int(e) for e in g) for g in data["gens"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad ideal JSON: {exc}") from exc
-    ring = Ring(tuple(sorted(labels)))
-    if ring.labels != labels:
-        raise ParseError("ideal JSON variables must be sorted")
-    return monomial_ideal(ring, gens)

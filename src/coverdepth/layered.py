@@ -25,7 +25,6 @@ from .graphs import (
     is_bipartite,
     is_ordered_matching,
     is_s_ordered_matching,
-    ordered_matching_number,
 )
 from .ideals import (
     MonomialIdeal,
@@ -135,20 +134,21 @@ def is_induced_matching_layered(gk: LayeredGraph, pairs) -> bool:
 
 def proof_matching_main(g: Graph, cert, s: int, k: int) -> list[LayeredEdge]:
     """The explicit matching of G_k of size t for the stable case s >= 2,
-    defined from an s-ordered matching cert = [(a_1,b_1),...,(a_t,b_t)] of
-    maximum size t by
+    defined from an s-ordered matching cert = [(a_1,b_1),...,(a_t,b_t)] by
 
         {(a_i, t+2-s-i), (b_i, k+s+i-t-1)}   for 1 <= i <= t-s,
         {(a_i, 1),       (b_i, k)}           for t-s <  i <= t.
 
-    Requires s >= 2, a valid full-size certificate, and k >= 2t - 2s + 2;
-    under those hypotheses the result is an induced matching of G_k.
+    Requires s >= 2, a valid s-ordered certificate, and k >= 2t - 2s + 2;
+    under those hypotheses the result is an induced matching of G_k. The
+    certificate need not be of maximum size: the witness ind-match(G_k) >=
+    ord-match(g) needs a maximum one, which the caller checks by size.
     """
     if s < 2:
         raise InputError("explicit matching needs s >= 2")
-    t, _ = ordered_matching_number(g)
-    if len(cert) != t or not is_s_ordered_matching(g, cert, s):
-        raise InputError("cert must be an s-ordered matching of maximum size")
+    t = len(cert)
+    if not is_s_ordered_matching(g, cert, s):
+        raise InputError("cert must be an s-ordered matching")
     if k < 2 * t - 2 * s + 2:
         raise InputError(f"needs k >= {2 * t - 2 * s + 2}, got {k}")
     pairs: list[LayeredEdge] = []
@@ -163,21 +163,22 @@ def proof_matching_main(g: Graph, cert, s: int, k: int) -> list[LayeredEdge]:
 
 def proof_matching_bipartite(g: Graph, cert, k: int) -> list[LayeredEdge]:
     """The explicit matching of G_k built from an ordered matching
-    cert = [(a_1,b_1),...,(a_t,b_t)] of maximum size t:
+    cert = [(a_1,b_1),...,(a_t,b_t)]:
 
         {(a_i, t+1-i), (b_i, k+i-t)}   for 1 <= i <= t.
 
     Requires g bipartite and k >= t. The result is guaranteed to be an
     induced matching of G_k when the certificate's b-side is independent
     (see :attr:`~coverdepth.graphs.OrderedProfile.b_independent`); the
-    substitution itself is performed for any valid ordered certificate.
+    substitution itself is performed for any valid ordered certificate, of
+    maximum size or not.
     """
     ok, _ = is_bipartite(g)
     if not ok:
         raise InputError("graph must be bipartite")
-    t, _ = ordered_matching_number(g)
-    if len(cert) != t or not is_ordered_matching(g, cert):
-        raise InputError("cert must be an ordered matching of maximum size")
+    t = len(cert)
+    if not is_ordered_matching(g, cert):
+        raise InputError("cert must be an ordered matching")
     if k < t:
         raise InputError(f"needs k >= t = {t}, got {k}")
     return [((a, t + 1 - i), (b, k + i - t)) for i, (a, b) in enumerate(cert, 1)]

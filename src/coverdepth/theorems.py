@@ -103,10 +103,6 @@ class StabilityReport:
                     f"limit {self.limit_depth}"
                 )
 
-    @property
-    def depth_map(self) -> dict[int, int]:
-        return dict(self.depths)
-
     def to_json(self) -> dict:
         return {
             "graph": _graph_json(self.graph),

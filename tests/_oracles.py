@@ -75,38 +75,41 @@ def _ordered_ok(
     return True
 
 
+def _edge_sequences(edges: set[tuple[int, int]], r: int):
+    """Every oriented, ordered sequence of r disjoint edges."""
+    for sub in itertools.combinations(sorted(edges), r):
+        if len({v for e in sub for v in e}) != 2 * r:
+            continue
+        for order in itertools.permutations(sub):
+            for orient in itertools.product((0, 1), repeat=r):
+                yield [(e[1], e[0]) if flip else e for e, flip in zip(order, orient)]
+
+
 def brute_ordered_matching(
     n: int, edges: set[tuple[int, int]], s: int = 1, b_independent: bool = False
 ):
     """Max size over every oriented, ordered sequence of disjoint edges;
     returns None (for -inf) when s > 1 admits nothing of size >= s. With
     `b_independent`, the second endpoints must be pairwise non-adjacent."""
-    es = sorted(edges)
     best = 0
     for r in range(1, n // 2 + 1):
-        found = False
-        for sub in itertools.combinations(es, r):
-            verts = [v for e in sub for v in e]
-            if len(set(verts)) != 2 * r:
-                continue
-            for order in itertools.permutations(sub):
-                for orient in itertools.product((0, 1), repeat=r):
-                    pairs = [
-                        (e[1], e[0]) if flip else (e[0], e[1])
-                        for e, flip in zip(order, orient)
-                    ]
-                    if _ordered_ok(edges, pairs, s, b_independent):
-                        found = True
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if found:
+        if any(_ordered_ok(edges, pairs, s, b_independent)
+               for pairs in _edge_sequences(edges, r)):
             best = r
     if s > 1 and best < s:
         return None
     return best
+
+
+def brute_ordered_matchings(
+    n: int, edges: set[tuple[int, int]], s: int = 1, b_independent: bool = False
+):
+    """Every sequence `brute_ordered_matching` accepts with at least
+    max(1, s) pairs."""
+    for r in range(max(1, s), n // 2 + 1):
+        for pairs in _edge_sequences(edges, r):
+            if _ordered_ok(edges, pairs, s, b_independent):
+                yield pairs
 
 
 def unpruned_ordered_profile(n: int, edges: set[tuple[int, int]]):

@@ -14,16 +14,13 @@ import pytest
 
 from coverdepth.cli import (
     build_parser,
-    format_graph_text,
     format_layered_text,
     main,
     parse_graph_text,
-    parse_layered_text,
     parse_partition_text,
 )
 from coverdepth.errors import ParseError
 from coverdepth.graphs import Graph
-from coverdepth.ideals import cover_ideal, equal, ideal_from_json
 from coverdepth.layered import build_gk
 from coverdepth.theorems import report_to_json, run_corpus
 
@@ -49,9 +46,9 @@ def files(tmp_path):
 
 
 def test_graph_text_round_trip():
-    g = parse_graph_text(P4_TEXT)
-    assert g == Graph(4, ((1, 2), (2, 3), (3, 4)))
-    assert format_graph_text(g) == P4_TEXT
+    assert parse_graph_text(P4_TEXT) == Graph(4, ((1, 2), (2, 3), (3, 4)))
+    # blank lines and surrounding spaces are ignored, edges kept as a set
+    assert parse_graph_text("\n n 4 \n3 4\n1 2\n\n2 3\n1 2\n") == parse_graph_text(P4_TEXT)
     assert parse_graph_text("n 1\n") == Graph(1, ())
 
 
@@ -74,13 +71,9 @@ def test_partition_text():
 
 def test_layered_text_round_trip():
     gk = build_gk(Graph(3, ((1, 2), (1, 3))), 2)
-    text = format_layered_text(gk)
-    assert text.splitlines()[0] == "n 3 k 2"
-    assert parse_layered_text(text) == gk
-    with pytest.raises(ParseError):
-        parse_layered_text("n 2\n")
-    with pytest.raises(ParseError):
-        parse_layered_text("n 2 k 1\n1_1 2\n")
+    assert format_layered_text(gk) == (
+        "n 3 k 2\n1_1 2_1\n1_1 2_2\n1_1 3_1\n1_1 3_2\n1_2 2_1\n1_2 3_1\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +160,7 @@ def test_ideal_pipeline(files, tmp_path, capsys):
 def test_ideal_json_round_trip(files, capsys):
     assert main(["ideal", "cover", files["k3"], "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert equal(ideal_from_json(data), cover_ideal(parse_graph_text(K3_TEXT)))
+    assert data == {"vars": [1, 2, 3], "gens": [[1, 1, 0], [1, 0, 1], [0, 1, 1]]}
 
 
 def test_gk_output(files, capsys):
@@ -253,8 +246,9 @@ def test_verify_single_graph_matches_corpus(tmp_path, capsys):
     pi_file.write_text("1 2\n3\n")
 
     def check(graph, partition=None):
-        g = Graph(graph["n"], tuple(tuple(e) for e in graph["edges"]))
-        graph_file.write_text(format_graph_text(g))
+        graph_file.write_text(
+            f"n {graph['n']}\n" + "".join(f"{u} {v}\n" for u, v in graph["edges"])
+        )
         argv = ["verify", "all", "--graph", str(graph_file), "--format", "json"]
         if partition is not None:
             argv += ["--partition", str(pi_file)]

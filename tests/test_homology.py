@@ -1,4 +1,4 @@
-"""Simplicial homology, Betti tables, and the depth engine.
+"""Reduced homology, Betti tables, and the depth engine.
 
 Every Betti number is computed twice: the production path sums homology of
 restricted complexes, and an independent generator-subset oracle minimalizes
@@ -25,15 +25,10 @@ from coverdepth.homology import (
     RATIONALS,
     BettiTable,
     FieldChoice,
-    SimplicialComplex,
     betti_table_squarefree,
     depth_symbolic_cover,
-    independence_complex,
-    pd_reg_depth,
-    reduced_homology_dims,
     reg_edge_ideal,
     reg_edge_ideal_layered,
-    stanley_reisner_complex,
     taylor_betti_oracle,
 )
 from coverdepth.ideals import (
@@ -77,7 +72,9 @@ def small_graphs(draw, max_n: int = 5, min_edges: int = 0):
 
 @st.composite
 def small_complexes(draw):
-    """A complex on up to five vertices from a random antichain of non-faces."""
+    """(n, minimal non-faces): a complex on vertices 1..n, n <= 5, from a
+    random antichain of non-empty non-faces of every size, so non-faces of
+    three or more vertices reach the walk's general test."""
     n = draw(st.integers(min_value=1, max_value=5))
     subsets = [
         frozenset(c)
@@ -85,12 +82,16 @@ def small_complexes(draw):
         for c in itertools.combinations(range(1, n + 1), size)
     ]
     family = draw(st.sets(st.sampled_from(subsets), max_size=6))
-    minimal = {s for s in family if not any(t < s for t in family)}
-    return SimplicialComplex(tuple(range(1, n + 1)), frozenset(minimal))
+    return n, [s for s in family if not any(t < s for t in family)]
+
+
+def _masks(non_faces) -> list[int]:
+    """Vertex sets as bitmasks, vertex v on bit v - 1."""
+    return [sum(1 << (v - 1) for v in nf) for nf in non_faces]
 
 
 # ---------------------------------------------------------------------------
-# fields and complexes
+# fields
 # ---------------------------------------------------------------------------
 
 
@@ -103,41 +104,14 @@ def test_field_choice():
             FieldChoice(bad)
 
 
-def test_simplicial_complex_validation():
-    with pytest.raises(InputError):
-        SimplicialComplex((1, 1), frozenset())
-    with pytest.raises(InputError):
-        SimplicialComplex((1, 2), frozenset({frozenset({3})}))
-    with pytest.raises(InputError):
-        SimplicialComplex(
-            (1, 2), frozenset({frozenset({1}), frozenset({1, 2})})
-        )
-    c = SimplicialComplex((1, 2, 3), frozenset({frozenset({1, 2})}))
-    assert c.is_face((1, 3)) and not c.is_face((1, 2, 3))
-    with pytest.raises(InputError):
-        c.is_face((4,))
-    assert SimplicialComplex((1,), frozenset({frozenset()})).is_void
-    assert not c.is_void
-
-
-def test_stanley_reisner_complex():
-    full = stanley_reisner_complex(monomial_ideal(base_ring(3), []))
-    assert full.non_faces == frozenset() and full.is_face((1, 2, 3))
-    tri = stanley_reisner_complex(edge_ideal(complete(3)))
-    assert tri == independence_complex(complete(3))
-    assert tri.non_faces == frozenset(
-        {frozenset({1, 2}), frozenset({1, 3}), frozenset({2, 3})}
-    )
-    with pytest.raises(InputError):
-        stanley_reisner_complex(monomial_ideal(base_ring(2), [(2, 0)]))
-    with pytest.raises(InputError):
-        stanley_reisner_complex(monomial_ideal(base_ring(2), [(0, 0)]))
-
-
 def test_independence_complex():
-    c = independence_complex(path(3))
-    assert c.is_face((1, 3)) and not c.is_face((1, 2))
-    assert independence_complex(Graph(2, ())).non_faces == frozenset()
+    """The face walk with a graph's edges as non-faces walks its independent
+    sets: {1, 3} is a face of Ind(P3) and {1, 2} is not, and an edgeless
+    graph gives the full simplex."""
+    faces = homology._faces_by_dim(0b111, _masks(path(3).edges))
+    assert sorted(faces[1]) == [0b101] and 2 not in faces
+    full = homology._faces_by_dim(0b11, [])
+    assert {d: sorted(fs) for d, fs in full.items()} == {-1: [0], 0: [1, 2], 1: [0b11]}
 
 
 # ---------------------------------------------------------------------------
@@ -146,28 +120,16 @@ def test_independence_complex():
 
 
 def test_reduced_homology_examples():
-    full = SimplicialComplex((1, 2, 3), frozenset())
-    assert reduced_homology_dims(full) == {-1: 0, 0: 0, 1: 0, 2: 0}
-    two_points = SimplicialComplex((1, 2), frozenset({frozenset({1, 2})}))
-    assert reduced_homology_dims(two_points) == {-1: 0, 0: 1}
-    hollow = SimplicialComplex((1, 2, 3), frozenset({frozenset({1, 2, 3})}))
-    assert reduced_homology_dims(hollow) == {-1: 0, 0: 0, 1: 1}
-    empty = SimplicialComplex((), frozenset())
-    assert reduced_homology_dims(empty) == {-1: 1}
-    void = SimplicialComplex((1, 2), frozenset({frozenset()}))
-    assert reduced_homology_dims(void) == {}
+    """The face walk and boundary ranks on small complexes."""
+    def dims(vertices, non_faces):
+        return homology._dims_from_faces(homology._faces_by_dim(vertices, non_faces), 0)
+
+    assert dims(0b111, []) == {-1: 0, 0: 0, 1: 0, 2: 0}  # full simplex
+    assert dims(0b11, [0b11]) == {-1: 0, 0: 1}  # two points
+    assert dims(0b111, [0b111]) == {-1: 0, 0: 0, 1: 1}  # hollow triangle
+    assert dims(0, []) == {-1: 1}  # only the empty face
     # the independence complex of C4 is a pair of disjoint edges
-    assert reduced_homology_dims(independence_complex(cycle(4))) == {
-        -1: 0,
-        0: 1,
-        1: 0,
-    }
-
-
-def test_reduced_homology_guard():
-    c = SimplicialComplex((1, 2, 3), frozenset())
-    with pytest.raises(GuardError):
-        reduced_homology_dims(c, guard=2)
+    assert dims(0b1111, _masks(cycle(4).edges)) == {-1: 0, 0: 1, 1: 0}
 
 
 def test_reduced_homology_projective_plane():
@@ -185,33 +147,29 @@ def test_reduced_homology_projective_plane():
     # the missing triples already exclude every larger subset
     for q in itertools.combinations(range(1, 7), 4):
         assert any(set(m) <= set(q) for m in missing)
-    c = SimplicialComplex(
-        tuple(range(1, 7)), frozenset(frozenset(m) for m in missing)
-    )
-    assert reduced_homology_dims(c, RATIONALS) == {-1: 0, 0: 0, 1: 0, 2: 0}
-    assert reduced_homology_dims(c, F2) == {-1: 0, 0: 0, 1: 1, 2: 1}
-    assert reduced_homology_dims(c, FieldChoice(3)) == {-1: 0, 0: 0, 1: 0, 2: 0}
+    faces = homology._faces_by_dim(0b111111, _masks(missing))
+    assert homology._dims_from_faces(faces, RATIONALS.char) == {-1: 0, 0: 0, 1: 0, 2: 0}
+    assert homology._dims_from_faces(faces, F2.char) == {-1: 0, 0: 0, 1: 1, 2: 1}
+    assert homology._dims_from_faces(faces, 3) == {-1: 0, 0: 0, 1: 0, 2: 0}
 
 
 @given(g=small_graphs(max_n=6))
 @settings(max_examples=60, deadline=None)
 def test_reduced_homology_matches_oracle_on_graphs(g):
-    got = reduced_homology_dims(independence_complex(g))
+    faces = homology._faces_by_dim((1 << g.n) - 1, _masks(g.edges))
     expected = brute_reduced_homology(
         list(range(1, g.n + 1)), [frozenset(e) for e in g.edges]
     )
-    assert got == expected
+    assert homology._dims_from_faces(faces, 0) == expected
 
 
 @given(c=small_complexes())
 @settings(max_examples=60, deadline=None)
 def test_reduced_homology_matches_oracle_on_complexes(c):
-    got = reduced_homology_dims(c)
-    expected = brute_reduced_homology(list(c.vertex_set), list(c.non_faces))
-    if c.is_void:
-        assert got == {}
-    else:
-        assert got == expected
+    n, non_faces = c
+    faces = homology._faces_by_dim((1 << n) - 1, _masks(non_faces))
+    expected = brute_reduced_homology(list(range(1, n + 1)), non_faces)
+    assert homology._dims_from_faces(faces, 0) == expected
 
 
 def _faces_by_itertools(bits: list[int], non_faces: list[int]) -> dict[int, list[int]]:
@@ -247,7 +205,7 @@ def test_face_walk_matches_itertools_on_all_small_graphs():
 @settings(max_examples=60, deadline=None)
 def test_face_walk_matches_itertools_on_complexes(c):
     """Larger and singleton non-faces as well as edges."""
-    _check_face_walk(len(c.vertex_set), c.non_faces)
+    _check_face_walk(*c)
 
 
 def test_graph_fast_path_matches_reference_with_cold_memo():
@@ -276,9 +234,11 @@ def test_reduced_homology_relabeling_invariance(g, data):
     h = Graph(
         g.n, tuple(sorted(tuple(sorted((relabel[a], relabel[b]))) for a, b in g.edges))
     )
-    assert reduced_homology_dims(independence_complex(g)) == reduced_homology_dims(
-        independence_complex(h)
-    )
+    dims = [
+        homology._dims_from_faces(homology._faces_by_dim((1 << f.n) - 1, _masks(f.edges)), 0)
+        for f in (g, h)
+    ]
+    assert dims[0] == dims[1]
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +264,6 @@ def test_betti_table_json_round_trip():
     t = BettiTable(4, ((0, 0, 1), (1, 2, 3), (2, 3, 2)))
     data = t.to_json()
     assert data == {"num_vars": 4, "entries": [[0, 0, 1], [1, 2, 3], [2, 3, 2]]}
-    assert BettiTable.from_json(data) == t
 
 
 def test_betti_two_variables():
@@ -313,7 +272,7 @@ def test_betti_two_variables():
         t = betti_table_squarefree(ideal, f)
         assert t.entries == ((0, 0, 1), (1, 1, 2), (2, 2, 1))
         assert taylor_betti_oracle(ideal, f) == t
-    assert pd_reg_depth(ideal) == (2, 0, 0)
+    assert (t.pd, t.reg, ideal.ring.num_vars - t.pd) == (2, 0, 0)
 
 
 def test_betti_edge_ideal_triangle():
@@ -322,7 +281,7 @@ def test_betti_edge_ideal_triangle():
         t = betti_table_squarefree(ideal, f)
         assert t.entries == ((0, 0, 1), (1, 2, 3), (2, 3, 2))
         assert taylor_betti_oracle(ideal, f) == t
-    assert pd_reg_depth(ideal) == (2, 1, 1)
+    assert (t.pd, t.reg, ideal.ring.num_vars - t.pd) == (2, 1, 1)
 
 
 def test_betti_cover_ideal_path4():
@@ -330,13 +289,14 @@ def test_betti_cover_ideal_path4():
     t = betti_table_squarefree(ideal)
     assert t.entries == ((0, 0, 1), (1, 2, 3), (2, 3, 2))
     assert taylor_betti_oracle(ideal) == t
-    assert pd_reg_depth(ideal) == (2, 1, 2)
+    assert (t.pd, t.reg, ideal.ring.num_vars - t.pd) == (2, 1, 2)
 
 
 def test_betti_zero_ideal():
     ideal = monomial_ideal(base_ring(3), [])
-    assert betti_table_squarefree(ideal).entries == ((0, 0, 1),)
-    assert pd_reg_depth(ideal) == (0, 0, 3)
+    t = betti_table_squarefree(ideal)
+    assert t.entries == ((0, 0, 1),)
+    assert (t.pd, t.reg, ideal.ring.num_vars - t.pd) == (0, 0, 3)
 
 
 def test_betti_input_errors():
@@ -353,7 +313,9 @@ def test_betti_input_errors():
 def test_taylor_handles_non_squarefree():
     square = power(monomial_ideal(base_ring(2), [(1, 0), (0, 1)]), 2)
     assert taylor_betti_oracle(square).entries == ((0, 0, 1), (1, 2, 3), (2, 3, 2))
-    assert pd_reg_depth(square) == (2, 1, 0)
+    # polarization keeps pd and reg; depth counts the original variables
+    t = betti_table_squarefree(polarize(square))
+    assert (t.pd, t.reg, square.ring.num_vars - t.pd) == (2, 1, 0)
 
 
 @given(g=small_graphs(max_n=5, min_edges=1), f=st.sampled_from([RATIONALS, F2]))
@@ -444,12 +406,10 @@ def test_betti_branch_reach(monkeypatch):
 @given(c=small_complexes(), f=st.sampled_from([RATIONALS, F2]))
 @settings(max_examples=40, deadline=None)
 def test_betti_matches_taylor_on_random_squarefree_ideals(c, f):
-    if c.is_void or not c.non_faces:
+    n, non_faces = c
+    if not non_faces:
         return
-    n = len(c.vertex_set)
-    gens = [
-        tuple(1 if v in nf else 0 for v in range(1, n + 1)) for nf in c.non_faces
-    ]
+    gens = [tuple(1 if v in nf else 0 for v in range(1, n + 1)) for nf in non_faces]
     ideal = monomial_ideal(base_ring(n), gens)
     assert betti_table_squarefree(ideal, f) == taylor_betti_oracle(ideal, f)
 

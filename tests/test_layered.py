@@ -17,9 +17,9 @@ from coverdepth.errors import InputError
 from coverdepth.graphs import (
     Graph,
     all_pairs,
-    are_isomorphic,
     graph,
     induced_matching_number,
+    is_bipartite,
     largest_stable_s,
     ordered_matching_number,
     ordered_profile,
@@ -41,7 +41,7 @@ from coverdepth.layered import (
     proof_matching_main,
 )
 
-from _oracles import brute_induced_matching
+from _oracles import brute_induced_matching, brute_ordered_matchings
 
 
 def path(n: int) -> Graph:
@@ -93,7 +93,7 @@ def test_build_gk_level_one_is_base():
         assert gk.sorted_edges() == [((i, 1), (j, 1)) for i, j in g.sorted_edges()]
         plain, labels = as_plain_graph(gk)
         assert labels == tuple((i, 1) for i in range(1, g.n + 1))
-        assert are_isomorphic(plain, g)
+        assert plain == g
 
 
 def test_build_gk_edge_count():
@@ -232,7 +232,7 @@ def test_proof_matching_main_errors():
     with pytest.raises(InputError):
         proof_matching_main(path(4), [(1, 2), (4, 3)], 1, 2)  # s must be >= 2
     with pytest.raises(InputError):
-        proof_matching_main(path(4), [(1, 2)], 2, 2)  # undersized certificate
+        proof_matching_main(path(4), [(1, 2)], 2, 2)  # fewer than s pairs
     with pytest.raises(InputError):
         proof_matching_main(path(4), [(1, 2), (3, 4)], 2, 2)  # not 2-ordered
     with pytest.raises(InputError):
@@ -284,9 +284,11 @@ def test_proof_matching_bipartite_errors():
     with pytest.raises(InputError):
         proof_matching_bipartite(complete(3), [(1, 2)], 2)  # not bipartite
     with pytest.raises(InputError):
-        proof_matching_bipartite(path(4), [(1, 2)], 2)  # undersized certificate
+        proof_matching_bipartite(path(4), [(4, 3), (2, 1)], 2)  # not ordered
     with pytest.raises(InputError):
         proof_matching_bipartite(path(4), [(2, 1), (4, 3)], 1)  # k < t
+    # a certificate below the maximum size is accepted, with t = len(cert)
+    assert proof_matching_bipartite(path(4), [(1, 2)], 2) == [((1, 1), (2, 2))]
 
 
 @pytest.mark.parametrize(
@@ -302,6 +304,37 @@ def test_proof_matching_bipartite_induced_on_k_window(g):
         m = proof_matching_bipartite(g, cert, k)
         assert len(m) == t
         assert is_induced_matching_layered(build_gk(g, k), m) is True
+
+
+def test_proof_matchings_from_every_certificate_are_induced(graph_classes):
+    """Neither construction needs a maximum certificate. On every class with
+    at most six vertices, each s-ordered certificate (s >= 2) of any size t
+    gives an induced matching of G_k of size t for k = 2t - 2s + 2 .. +2,
+    and on the bipartite classes each ordered certificate with an
+    independent b-side does for k = t .. t + 2. Six vertices are needed for
+    t > s, the only case that reaches the first layer formula of
+    `proof_matching_main`."""
+    built = {"main": 0, "bipartite": 0}
+    for g in (g for n in sorted(graph_classes) for g in graph_classes[n]):
+        edges = set(g.sorted_edges())
+        for s in range(2, g.n // 2 + 1):
+            for cert in brute_ordered_matchings(g.n, edges, s):
+                t = len(cert)
+                for k in range(2 * t - 2 * s + 2, 2 * t - 2 * s + 5):
+                    m = proof_matching_main(g, cert, s, k)
+                    assert len(m) == t, (g, cert, s, k)
+                    assert is_induced_matching_layered(build_gk(g, k), m), (g, cert, s, k)
+                    built["main"] += 1
+        if not is_bipartite(g)[0]:
+            continue
+        for cert in brute_ordered_matchings(g.n, edges, 1, b_independent=True):
+            t = len(cert)
+            for k in range(t, t + 3):
+                m = proof_matching_bipartite(g, cert, k)
+                assert len(m) == t, (g, cert, k)
+                assert is_induced_matching_layered(build_gk(g, k), m), (g, cert, k)
+                built["bipartite"] += 1
+    assert built == {"main": 5736, "bipartite": 2940}
 
 
 @given(data=st.data())

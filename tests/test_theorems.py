@@ -3,6 +3,7 @@ sweeps, and the invariant that verifiers never fail on real inputs."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 
@@ -50,6 +51,14 @@ def complete(n: int) -> Graph:
     return Graph(n, tuple(itertools.combinations(range(1, n + 1), 2)))
 
 
+# graph files of P4, C5 and K3 for the kernel-fault tests that run the CLI
+FAULT_GRAPH_FILES = {
+    "P4": "n 4\n1 2\n2 3\n3 4\n",
+    "C5": "n 5\n1 2\n1 5\n2 3\n3 4\n4 5\n",
+    "K3": "n 3\n1 2\n1 3\n2 3\n",
+}
+
+
 @st.composite
 def small_graphs_no_isolated(draw, max_n: int = 4):
     n = draw(st.integers(min_value=2, max_value=max_n))
@@ -77,7 +86,6 @@ def test_stability_threshold():
 def test_stability_report_validation():
     g = path(4)
     report = StabilityReport(g, 2, 2, 2, ((1, 2), (2, 1), (3, 1)), 1, 2)
-    assert report.depth_map == {1: 2, 2: 1, 3: 1}
     assert report.to_json()["depths"] == {"1": 2, "2": 1, "3": 1}
     with pytest.raises(InputError):
         StabilityReport(g, 2, 2, 3, ((2, 1),), 1, None)
@@ -251,6 +259,27 @@ def test_verify_proof_matchings_examples():
     assert whiskered_triangle.status in ("passed", "skipped")
 
 
+def test_proof_matchings_fail_on_a_certificate_one_pair_short(monkeypatch):
+    """The constructions accept any valid certificate, so the verifier's own size
+    check is what ties the matching to t. On P6 (t = 3, s = 2) a profile
+    whose 2-ordered certificate lacks its last pair, still 2-ordered, must
+    give a failed outcome."""
+    profile = theorems.ordered_profile
+
+    def short(g):
+        p = profile(g)
+        certs = list(p.certs)
+        certs[1] = certs[1][:-1]
+        return dataclasses.replace(p, certs=tuple(certs))
+
+    monkeypatch.setattr(theorems, "ordered_profile", short)
+    out = verify_proof_matchings(path(6))
+    assert out.status == "failed"
+    assert out.details["t"] == 3 and out.details["s"] == 2
+    assert out.details["main"]["induced"] and out.details["main"]["size"] == 2
+    assert out.details["bipartite"]["size"] == 3  # its certificate is untouched
+
+
 def test_clique_partitions():
     assert sum(1 for _ in clique_partitions(complete(4))) == 15
     assert list(clique_partitions(path(3))) == [
@@ -412,8 +441,7 @@ def test_verifier_calls_bind_late(monkeypatch, tmp_path, capsys):
         (lambda: verify_main(path(4)), 1),
         (lambda: verify_whisker(path(2), [[1], [2]]), 1),
         (lambda: cli.invariants_report(path(6)), 1),
-        # the verifier's own search, then one in each proof_matching_* input check
-        (lambda: verify_proof_matchings(path(4)), 3),
+        (lambda: verify_proof_matchings(path(4)), 1),
     ],
     ids=["main", "whisker", "invariants", "proofmatch"],
 )
@@ -446,19 +474,20 @@ def _shift_ind_dims(monkeypatch, by: int) -> None:
     monkeypatch.setattr(homology, "_ind_dims", shifted)
 
 
-@pytest.mark.parametrize("g", [path(4), cycle(5), complete(3)], ids=["P4", "C5", "K3"])
-def test_regularity_verifiers_catch_a_fold_kernel_fault(monkeypatch, tmp_path, capsys, g):
+@pytest.mark.parametrize("text", FAULT_GRAPH_FILES.values(), ids=FAULT_GRAPH_FILES.keys())
+def test_regularity_verifiers_catch_a_fold_kernel_fault(monkeypatch, tmp_path, capsys, text):
     """A fault in the homology kernel the regularity sweep reads (every
     degree of a mask of two or more vertices shifted up by one) breaks the
     quadric size bound, so both regularity verifiers raise ConsistencyError
     instead of reporting a counterexample, and the CLI exits 5."""
+    g = cli.parse_graph_text(text)
     _shift_ind_dims(monkeypatch, 1)
     with pytest.raises(ConsistencyError):
         verify_reg_upper(g)
     with pytest.raises(ConsistencyError):
         verify_regind(g)
     graph = tmp_path / "g.txt"
-    graph.write_text(cli.format_graph_text(g))
+    graph.write_text(text)
     assert cli.main(["verify", "regupper", "--graph", str(graph)]) == 5
     assert "quadric bound" in capsys.readouterr().err
 
@@ -475,9 +504,9 @@ def test_regind_catches_a_fold_kernel_fault_inside_the_size_bound(monkeypatch, g
         verify_regind(g)
 
 
-@pytest.mark.parametrize("g", [path(4), cycle(5), complete(3)], ids=["P4", "C5", "K3"])
+@pytest.mark.parametrize("text", FAULT_GRAPH_FILES.values(), ids=FAULT_GRAPH_FILES.keys())
 def test_reg_upper_catches_a_fold_kernel_fault_inside_the_size_bound(
-    monkeypatch, tmp_path, capsys, g
+    monkeypatch, tmp_path, capsys, text
 ):
     """The same fault under `verify_reg_upper`: it reads reg(I(g)) as
     n - depth(S/J(g)) through both depth routes (Terai, with G_1 = g), so the
@@ -485,9 +514,9 @@ def test_reg_upper_catches_a_fold_kernel_fault_inside_the_size_bound(
     as a counterexample to the matching bounds."""
     _shift_ind_dims(monkeypatch, -1)
     with pytest.raises(ConsistencyError):
-        verify_reg_upper(g)
+        verify_reg_upper(cli.parse_graph_text(text))
     graph = tmp_path / "g.txt"
-    graph.write_text(cli.format_graph_text(g))
+    graph.write_text(text)
     assert cli.main(["verify", "regupper", "--graph", str(graph)]) == 5
     assert "depth routes disagree on k=1" in capsys.readouterr().err
 
