@@ -9,11 +9,15 @@ a graph included, comes from one bitmask walk, `_faces_by_dim`; only the
 edge-ideal regularity sweep walks its subsets itself, because it prunes them
 by size (`_reg_sweep`).
 
-Two independent cross-checks keep the main engine honest: a Taylor-complex
-oracle that minimalizes the generator resolution by linear algebra, and a
-dual-route depth computation for symbolic powers of cover ideals that must
-agree with itself (`depth_symbolic_cover`); its routes share no fold, join
-or memo, so a fault in one raises ConsistencyError.
+Two independent cross-checks keep the main engine honest. The Taylor
+oracle (`taylor_betti_oracle`) minimalizes the generator-subset resolution
+strand by strand for any monomial ideal. It packs each monomial into one int
+with a unary field per variable, so lcm is bitwise OR and the total degree
+is the bit count, and it shares only `rank` with the Hochster engine: no
+face walk, fold, memo, polarization or duality. The dual-route depth
+computation for symbolic powers of cover ideals must agree with itself
+(`depth_symbolic_cover`); its routes share no fold, join or memo, so a
+fault in one raises ConsistencyError.
 
 Performance notes, all homology-preserving and therefore invisible in the
 results:
@@ -74,7 +78,6 @@ from .ideals import (
     alexander_dual,
     is_squarefree,
     support,
-    total_degree,
 )
 from .layered import LayeredGraph, as_plain_graph, build_gk
 
@@ -408,61 +411,79 @@ def betti_table_squarefree(
     return _betti_from_counts(ideal.ring.num_vars, counts)
 
 
+def _unary_pack(gens: list[tuple[int, ...]]) -> list[int]:
+    """Each exponent vector as one int. Variable i owns a field of bits as
+    wide as its largest exponent among `gens`, and exponent e sets the
+    lowest e bits of that field, so a field reads e in unary: the bitwise
+    OR of two fields is the larger exponent, the OR of packed monomials is
+    their lcm, and `bit_count()` is the total degree."""
+    packed = [0] * len(gens)
+    offset = 0
+    for column in zip(*gens):
+        for g, e in enumerate(column):
+            packed[g] |= ((1 << e) - 1) << offset
+        offset += max(column)
+    return packed
+
+
 def taylor_betti_oracle(
     ideal: MonomialIdeal,
     f: FieldChoice = RATIONALS,
     guard: int | None = None,
 ) -> BettiTable:
-    """Independent Betti-number oracle: the generator-subset resolution,
-    minimalized per multidegree by exact linear algebra. A subset maps to a
-    sub-subset with coefficient ±1 exactly when dropping the generator keeps
-    the least common multiple; homology of those strands is the Betti table.
-    Works for arbitrary monomial ideals, squarefree or not.
+    """Independent Betti-number oracle for any monomial ideal, squarefree or
+    not: Taylor's resolution on the generator subsets, minimalized per
+    lcm-lattice multidegree by exact linear algebra (Gasharov, Peeva and
+    Welker 1999). In the strand of a multidegree, a subset maps to each
+    subset one generator smaller with the same lcm, with sign (-1)^i for
+    the i-th generator in index order; the homology of each strand is its
+    column of the Betti table.
+
+    All of it runs on ints. Monomials are unary-packed (`_unary_pack`), so
+    lcm is bitwise OR and the total degree j is `bit_count()`; subsets are
+    generator-index masks, and one flat table holds every subset's lcm,
+    lcm[s] = lcm[s without its top generator] | packed[top]. Of the
+    Hochster engine it checks, the oracle shares only `rank` and the
+    `BettiTable` it returns: no face walk, fold, memo, polarization or
+    Alexander duality.
     """
     if ideal.is_unit:
         raise InputError("the unit ideal is not a quotient ring input")
     gens = ideal.sorted_gens()
     check_guard(len(gens), guard, DEFAULT_TAYLOR_GUARD,
                 "{cost} generators exceed the guard {limit}")
-    strands: dict[tuple, dict[int, list[tuple[int, ...]]]] = defaultdict(
-        lambda: defaultdict(list)
-    )
-    # Depth-first over subsets in prefix order: each size's subsets come in
-    # the lexicographic order of itertools.combinations, and a subset's LCM
-    # is its parent's (the subset without its last index) joined with the
-    # last generator. The stack is explicit because a recursive closure's
-    # reference cycle would keep `strands` alive until the next collection;
-    # each LCM is built from a list because a tuple grown from an iterator
-    # is resized, and freed resized tuples pile up on the tuple free list.
-    stack = [((), tuple([0] * ideal.ring.num_vars))]
-    while stack:
-        subset, lcm = stack.pop()
-        strands[lcm][len(subset)].append(subset)
-        for idx in reversed(range(subset[-1] + 1 if subset else 0, len(gens))):
-            lcm_up = tuple([max(a, b) for a, b in zip(lcm, gens[idx])])
-            stack.append((subset + (idx,), lcm_up))
+    lcms = [0]
+    for top in _unary_pack(gens):
+        lcms += [lcm | top for lcm in lcms]
+    strands: dict[int, list[int]] = defaultdict(list)
+    for s, lcm in enumerate(lcms):
+        strands[lcm].append(s)
 
     counts: dict[tuple[int, int], int] = defaultdict(int)
-    for degree, by_size in sorted(strands.items()):
-        j = total_degree(degree)
-        index = {
-            size: {s: i for i, s in enumerate(subsets)}
-            for size, subsets in by_size.items()
-        }
+    for lcm, subsets in strands.items():
+        j = lcm.bit_count()
+        by_size: dict[int, list[int]] = defaultdict(list)
+        for s in subsets:
+            by_size[s.bit_count()].append(s)
         ranks: dict[int, int] = {}
-        for size, subsets in sorted(by_size.items()):
-            lower = index.get(size - 1, {})
+        for size, masks in by_size.items():
+            lower = {t: i for i, t in enumerate(by_size.get(size - 1, ()))}
+            if not lower:
+                continue
             rows = []
-            for subset in subsets:
+            for s in masks:
                 row = [0] * len(lower)
-                for i in range(len(subset)):
-                    sub = subset[:i] + subset[i + 1 :]
-                    if sub in lower:  # same multidegree survives the tensor
-                        row[lower[sub]] = (-1) ** i
+                sign, rest = 1, s
+                while rest:
+                    low = rest & -rest
+                    i = lower.get(s ^ low)
+                    if i is not None:  # same multidegree survives the tensor
+                        row[i] = sign
+                    sign, rest = -sign, rest ^ low
                 rows.append(row)
-            ranks[size] = rank(rows, f.char) if rows and lower else 0
-        for size, subsets in by_size.items():
-            h = len(subsets) - ranks.get(size, 0) - ranks.get(size + 1, 0)
+            ranks[size] = rank(rows, f.char)
+        for size, masks in by_size.items():
+            h = len(masks) - ranks.get(size, 0) - ranks.get(size + 1, 0)
             if h:
                 counts[(size, j)] += h
     return _betti_from_counts(ideal.ring.num_vars, counts)

@@ -125,10 +125,6 @@ def is_squarefree(ideal: MonomialIdeal) -> bool:
     return all(e <= 1 for g in ideal.gens for e in g)
 
 
-def total_degree(mono: Monomial) -> int:
-    return sum(mono)
-
-
 def lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
 

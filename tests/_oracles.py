@@ -3,12 +3,34 @@
 Everything here is deliberately naive and shares no code with the package:
 subsets via itertools, membership-by-divisibility, homology by Fraction
 Gaussian elimination. Slow is fine; these run on tiny inputs only.
+
+Two reference paths are kept from earlier versions of the package, to check
+the faster code that replaced them: `tuple_taylor_betti` (the Taylor oracle
+on exponent tuples, which uses the package's `rank` and `BettiTable`) and
+the polarization identity (`layered_cover_ideal`,
+`check_polarization_identity`), which builds both sides from the package's
+ideal operations.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from fractions import Fraction
+
+from coverdepth._linalg import rank
+from coverdepth.errors import DEFAULT_TAYLOR_GUARD, InputError, check_guard
+from coverdepth.graphs import Graph
+from coverdepth.homology import RATIONALS, BettiTable, FieldChoice
+from coverdepth.ideals import (
+    MonomialIdeal,
+    alexander_dual,
+    equal,
+    layered_ring,
+    polarize,
+    symbolic_power_cover,
+)
+from coverdepth.layered import LayeredGraph, build_gk
 
 
 # ---------------------------------------------------------------------------
@@ -281,3 +303,93 @@ def brute_reduced_homology(vertices: list, nonfaces: list[frozenset]) -> dict[in
         n_d = len(by_dim.get(d, []))
         dims[d] = n_d - ranks.get(d, 0) - ranks.get(d + 1, 0)
     return dims
+
+
+# ---------------------------------------------------------------------------
+# reference paths kept from earlier versions of the package
+# ---------------------------------------------------------------------------
+
+def tuple_taylor_betti(
+    ideal: MonomialIdeal,
+    f: FieldChoice = RATIONALS,
+    guard: int | None = None,
+) -> BettiTable:
+    """The Taylor-resolution Betti oracle on exponent tuples, as
+    `homology.taylor_betti_oracle` was before it moved to packed ints: each
+    subset's lcm is an exponent tuple built by `max` over `zip`, strands are
+    keyed by tuples, and boundary faces come from slicing subset tuples.
+    Verbatim but for two inlined one-liners it called: `sum` for
+    `ideals.total_degree` and the `BettiTable` built by
+    `homology._betti_from_counts`."""
+    if ideal.is_unit:
+        raise InputError("the unit ideal is not a quotient ring input")
+    gens = ideal.sorted_gens()
+    check_guard(len(gens), guard, DEFAULT_TAYLOR_GUARD,
+                "{cost} generators exceed the guard {limit}")
+    strands: dict[tuple, dict[int, list[tuple[int, ...]]]] = defaultdict(
+        lambda: defaultdict(list)
+    )
+    # Depth-first over subsets in prefix order: each size's subsets come in
+    # the lexicographic order of itertools.combinations, and a subset's LCM
+    # is its parent's (the subset without its last index) joined with the
+    # last generator. The stack is explicit because a recursive closure's
+    # reference cycle would keep `strands` alive until the next collection;
+    # each LCM is built from a list because a tuple grown from an iterator
+    # is resized, and freed resized tuples pile up on the tuple free list.
+    stack = [((), tuple([0] * ideal.ring.num_vars))]
+    while stack:
+        subset, lcm = stack.pop()
+        strands[lcm][len(subset)].append(subset)
+        for idx in reversed(range(subset[-1] + 1 if subset else 0, len(gens))):
+            lcm_up = tuple([max(a, b) for a, b in zip(lcm, gens[idx])])
+            stack.append((subset + (idx,), lcm_up))
+
+    counts: dict[tuple[int, int], int] = defaultdict(int)
+    for degree, by_size in sorted(strands.items()):
+        j = sum(degree)
+        index = {
+            size: {s: i for i, s in enumerate(subsets)}
+            for size, subsets in by_size.items()
+        }
+        ranks: dict[int, int] = {}
+        for size, subsets in sorted(by_size.items()):
+            lower = index.get(size - 1, {})
+            rows = []
+            for subset in subsets:
+                row = [0] * len(lower)
+                for i in range(len(subset)):
+                    sub = subset[:i] + subset[i + 1 :]
+                    if sub in lower:  # same multidegree survives the tensor
+                        row[lower[sub]] = (-1) ** i
+                rows.append(row)
+            ranks[size] = rank(rows, f.char) if rows and lower else 0
+        for size, subsets in by_size.items():
+            h = len(subsets) - ranks.get(size, 0) - ranks.get(size + 1, 0)
+            if h:
+                counts[(size, j)] += h
+    entries = tuple(sorted((i, j, b) for (i, j), b in counts.items() if b))
+    return BettiTable(ideal.ring.num_vars, entries)
+
+
+def layered_cover_ideal(gk: LayeredGraph) -> MonomialIdeal:
+    """Cover ideal of G_k in the layered ring on the full grid: the
+    Alexander dual of its edge ideal, whose generators are the minimal
+    vertex covers."""
+    if not gk.edges:
+        raise InputError("cover ideal needs at least one edge")
+    ring = layered_ring(gk.vertices)
+    gens = []
+    for a, b in gk.edges:
+        exps = [0] * ring.num_vars
+        exps[ring.index(a)] = exps[ring.index(b)] = 1
+        gens.append(tuple(exps))
+    return alexander_dual(MonomialIdeal(ring, frozenset(gens)))
+
+
+def check_polarization_identity(g: Graph, k: int) -> bool:
+    """Exact generator-set equality of polarize(J(g)^(k)) and the cover
+    ideal of G_k, both computed from first principles. Expected True for
+    every graph without isolated vertices; False localizes a bug."""
+    lhs = polarize(symbolic_power_cover(g, k))
+    rhs = layered_cover_ideal(build_gk(g, k))
+    return equal(lhs, rhs)

@@ -17,6 +17,13 @@ from coverdepth.graphs import (
     isomorphism_classes,
     isomorphism_representatives,
 )
+from coverdepth.ideals import (
+    MonomialIdeal,
+    cover_ideal,
+    edge_ideal,
+    polarize,
+    symbolic_power_cover,
+)
 
 _ACCEPTANCE_PATTERN = re.compile(r"test_acceptance_(\d+)_")
 
@@ -59,3 +66,27 @@ def classes_up_to_7() -> list[Graph]:
     """`isomorphism_classes(7)`: one graph per class on 1..7 vertices. The
     vertex-extension build takes about 1.5 s, so it runs once per session."""
     return isomorphism_classes(7)
+
+
+@pytest.fixture(scope="session")
+def oracle_ideals() -> list[MonomialIdeal]:
+    """The squarefree ideals of acceptance criterion 8: the edge ideal, the
+    cover ideal and the polarized second symbolic power of the cover ideal
+    of each isolated-free graph class on 2..5 vertices, with one to eight
+    generators, first occurrence of each (ring, generators) pair kept."""
+    seen = set()
+    ideals = []
+    for n in range(2, 6):
+        for g in isomorphism_representatives(list(enumerate_graphs(n, no_isolated=True))):
+            for ideal in (
+                edge_ideal(g),
+                cover_ideal(g),
+                polarize(symbolic_power_cover(g, 2)),
+            ):
+                if not ideal.gens or len(ideal.gens) > 8:
+                    continue
+                key = (ideal.ring.labels, tuple(ideal.sorted_gens()))
+                if key not in seen:
+                    seen.add(key)
+                    ideals.append(ideal)
+    return ideals

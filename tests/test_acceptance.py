@@ -28,8 +28,7 @@ from coverdepth.homology import (
     reg_edge_ideal,
     taylor_betti_oracle,
 )
-from coverdepth.ideals import cover_ideal, edge_ideal, polarize, symbolic_power_cover
-from coverdepth.layered import check_polarization_identity
+from coverdepth.ideals import MonomialIdeal
 from coverdepth.theorems import (
     clique_partitions,
     verify_bipartite,
@@ -38,6 +37,8 @@ from coverdepth.theorems import (
     verify_regind,
     verify_whisker,
 )
+
+from _oracles import check_polarization_identity
 
 # Six-vertex graphs that exercise behaviours absent below five vertices:
 # an even cycle, a complete bipartite graph, a perfect induced matching,
@@ -201,24 +202,12 @@ def test_acceptance_07_proof_matchings(corpus_five: list[Graph]) -> None:
             assert outcome.details["bipartite"]["status"] == "skipped"
 
 
-def test_acceptance_08_betti_oracle_agreement(corpus_five: list[Graph]) -> None:
+def test_acceptance_08_betti_oracle_agreement(oracle_ideals: list[MonomialIdeal]) -> None:
     """The subset-homology Betti table matches the generator-subset oracle
     entrywise, over both Q and F2, for every squarefree corpus ideal with at
-    most eight generators.  Any disagreement is reported (expected: none)."""
-    seen = set()
-    ideals = []
-    for g in corpus_five:
-        for ideal in (
-            edge_ideal(g),
-            cover_ideal(g),
-            polarize(symbolic_power_cover(g, 2)),
-        ):
-            if not ideal.gens or len(ideal.gens) > 8:
-                continue
-            key = (ideal.ring.labels, tuple(ideal.sorted_gens()))
-            if key not in seen:
-                seen.add(key)
-                ideals.append(ideal)
+    most eight generators (the `oracle_ideals` fixture).  Any disagreement
+    is reported (expected: none)."""
+    ideals = oracle_ideals
     assert len(ideals) == 89
     disagreements = []
     for ideal in ideals:

@@ -18,7 +18,12 @@ from hypothesis import strategies as st
 
 from coverdepth import homology
 from coverdepth._bits import iter_bits
-from coverdepth.errors import ConsistencyError, GuardError, InputError
+from coverdepth.errors import (
+    DEFAULT_TAYLOR_GUARD,
+    ConsistencyError,
+    GuardError,
+    InputError,
+)
 from coverdepth.graphs import Graph, enumerate_graphs, isomorphism_representatives
 from coverdepth.homology import (
     F2,
@@ -32,9 +37,11 @@ from coverdepth.homology import (
     taylor_betti_oracle,
 )
 from coverdepth.ideals import (
+    MonomialIdeal,
     base_ring,
     cover_ideal,
     edge_ideal,
+    is_squarefree,
     monomial_ideal,
     polarize,
     power,
@@ -42,7 +49,7 @@ from coverdepth.ideals import (
 )
 from coverdepth.layered import as_plain_graph, build_gk
 
-from _oracles import brute_ordered_matching, brute_reduced_homology
+from _oracles import brute_ordered_matching, brute_reduced_homology, tuple_taylor_betti
 
 
 def path(n: int) -> Graph:
@@ -297,6 +304,7 @@ def test_betti_zero_ideal():
     t = betti_table_squarefree(ideal)
     assert t.entries == ((0, 0, 1),)
     assert (t.pd, t.reg, ideal.ring.num_vars - t.pd) == (0, 0, 3)
+    assert taylor_betti_oracle(ideal) == t
 
 
 def test_betti_input_errors():
@@ -316,6 +324,97 @@ def test_taylor_handles_non_squarefree():
     # polarization keeps pd and reg; depth counts the original variables
     t = betti_table_squarefree(polarize(square))
     assert (t.pd, t.reg, square.ring.num_vars - t.pd) == (2, 1, 0)
+
+
+F3 = FieldChoice(3)
+
+
+def _random_monomial_ideals(seed: int, count: int) -> list[MonomialIdeal]:
+    """Seeded monomial ideals with 1-8 generators in 1-5 variables and
+    exponents 0-3; a drawn unit ideal is kept (both oracles reject it)."""
+    rng = random.Random(seed)
+    ideals = []
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        gens = [tuple(rng.randint(0, 3) for _ in range(n))
+                for _ in range(rng.randint(1, 8))]
+        ideals.append(monomial_ideal(base_ring(n), gens))
+    return ideals
+
+
+def _taylor_mismatches(ideals) -> list[tuple]:
+    """(generators, field) of each input where `taylor_betti_oracle` and
+    the tuple-LCM reference disagree; an entry list that `BettiTable`
+    rejects counts as a disagreement. Both must reject a unit ideal."""
+    bad = []
+    for ideal in ideals:
+        for f in (RATIONALS, F2, F3):
+            if ideal.is_unit:
+                for oracle in (taylor_betti_oracle, tuple_taylor_betti):
+                    with pytest.raises(InputError):
+                        oracle(ideal, f)
+                continue
+            try:
+                same = taylor_betti_oracle(ideal, f) == tuple_taylor_betti(ideal, f)
+            except InputError:
+                same = False
+            if not same:
+                bad.append((ideal.sorted_gens(), f.label))
+    return bad
+
+
+# (x y^2, x^2 y): the lcm x^2 y^2 needs each variable's larger exponent
+CROSSED = monomial_ideal(base_ring(2), [(1, 2), (2, 1)])
+
+
+def test_taylor_matches_tuple_reference_on_random_ideals():
+    ideals = _random_monomial_ideals(18, 400)
+    assert any(ideal.is_unit for ideal in ideals)
+    assert any(not is_squarefree(ideal) for ideal in ideals)
+    assert _taylor_mismatches(ideals + [CROSSED]) == []
+
+
+def test_taylor_matches_tuple_reference_on_criterion_8_ideals(oracle_ideals):
+    assert len(oracle_ideals) == 89
+    assert _taylor_mismatches(oracle_ideals) == []
+
+
+def test_taylor_reference_catches_binary_packing(monkeypatch):
+    """Exponents packed in binary instead of unary: OR is no longer max, so
+    the lcm and the degree j come out wrong and the reference comparison
+    must fail."""
+    def binary_pack(gens):
+        packed = [0] * len(gens)
+        offset = 0
+        for column in zip(*gens):
+            for g, e in enumerate(column):
+                packed[g] |= e << offset
+            offset += max(column).bit_length()
+        return packed
+
+    monkeypatch.setattr(homology, "_unary_pack", binary_pack)
+    assert _taylor_mismatches([CROSSED]) == [
+        ([(2, 1), (1, 2)], label) for label in ("q", "f2", "f3")
+    ]
+    assert _taylor_mismatches(_random_monomial_ideals(18, 400))
+
+
+def test_taylor_ring_variable_in_no_generator():
+    # x2 and x4 divide no generator: their fields are zero bits wide
+    ideal = monomial_ideal(base_ring(4), [(2, 0, 0, 0), (1, 0, 3, 0)])
+    t = taylor_betti_oracle(ideal)
+    assert t.entries == ((0, 0, 1), (1, 2, 1), (1, 4, 1), (2, 5, 1))
+    assert t == tuple_taylor_betti(ideal)
+
+
+def test_taylor_guard_at_twelve_generators():
+    twelve = edge_ideal(path(13))
+    assert len(twelve.gens) == 12 == DEFAULT_TAYLOR_GUARD
+    assert taylor_betti_oracle(twelve, F2) == betti_table_squarefree(twelve, F2)
+    thirteen = edge_ideal(cycle(13))
+    with pytest.raises(GuardError):
+        taylor_betti_oracle(thirteen)
+    assert taylor_betti_oracle(thirteen, F2, guard=13) == betti_table_squarefree(thirteen, F2)
 
 
 @given(g=small_graphs(max_n=5, min_edges=1), f=st.sampled_from([RATIONALS, F2]))

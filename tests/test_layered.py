@@ -34,14 +34,17 @@ from coverdepth.layered import (
     LayeredGraph,
     as_plain_graph,
     build_gk,
-    check_polarization_identity,
     is_induced_matching_layered,
-    layered_cover_ideal,
     proof_matching_bipartite,
     proof_matching_main,
 )
 
-from _oracles import brute_induced_matching, brute_ordered_matchings
+from _oracles import (
+    brute_induced_matching,
+    brute_ordered_matchings,
+    check_polarization_identity,
+    layered_cover_ideal,
+)
 
 
 def path(n: int) -> Graph:

@@ -6,6 +6,9 @@ A name counts as referenced when it appears, outside its own definition, in
 `src/coverdepth/*.py` or `bench/*.py` as a variable name, an attribute, or a
 string constant (the tracer looks its layer functions up by name).
 Docstrings do not count.
+
+The same scan checks that the Taylor Betti oracle stays independent of the
+Hochster engine it cross-checks.
 """
 
 from __future__ import annotations
@@ -19,11 +22,9 @@ SRC = sorted((ROOT / "src" / "coverdepth").glob("*.py"))
 BENCH = sorted((ROOT / "bench").glob("*.py"))
 
 # Names a test checks directly that have no caller in the program, with why
-# they stay in `src/`.
-TEST_CHECKED = {
-    "layered.check_polarization_identity": "acceptance criterion 1 checks "
-    "the polarization identity itself, each side computed on its own",
-}
+# they stay in `src/`. Empty: a check only tests run lives in the tests
+# (`tests/_oracles.py`).
+TEST_CHECKED: dict[str, str] = {}
 
 
 def _docstrings(tree: ast.Module) -> set[int]:
@@ -78,3 +79,41 @@ def test_every_library_definition_has_a_caller_in_the_program():
     assert missing == [], f"only tests call {missing}; delete them or call them"
     # an exemption goes once its name gains a caller
     assert sorted(unreferenced) == sorted(TEST_CHECKED)
+
+
+# The Hochster engine that `homology.taylor_betti_oracle` cross-checks. The
+# oracle shares only `rank` with it, so a fault in any of these cannot make
+# both sides agree on a wrong table.
+ENGINE = {"_faces_by_dim", "_dims_from_faces", "_ind_dims", "_component_dims",
+          "_adjacency", "betti_table_squarefree", "polarize", "alexander_dual"}
+
+
+def _engine_names(oracle: ast.FunctionDef, tree: ast.Module) -> set[str]:
+    """Engine names under `oracle` and under each top-level function of its
+    module that it reaches by name, transitively."""
+    local = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    seen, todo, found = {oracle.name}, [oracle], set()
+    while todo:
+        names = set(_references(todo.pop(), _docstrings(tree)))
+        found |= names & ENGINE
+        for name in names & local.keys() - seen:
+            seen.add(name)
+            todo.append(local[name])
+    return found
+
+
+def _taylor_oracle() -> tuple[ast.FunctionDef, ast.Module]:
+    tree = ast.parse((ROOT / "src" / "coverdepth" / "homology.py").read_text())
+    oracle = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                  and node.name == "taylor_betti_oracle")
+    return oracle, tree
+
+
+def test_taylor_oracle_is_independent_of_the_hochster_engine():
+    oracle, tree = _taylor_oracle()
+    assert _engine_names(oracle, tree) == set()
+    # the scan sees an engine name planted in the oracle's body
+    for name in sorted(ENGINE):
+        planted, planted_tree = _taylor_oracle()
+        planted.body.append(ast.parse(f"{name}(gens)").body[0])
+        assert name in _engine_names(planted, planted_tree)
