@@ -40,6 +40,7 @@ from .graphs import (
 )
 from .homology import F2, RATIONALS, FieldChoice, depth_symbolic_cover
 from .ideals import (
+    MonomialIdeal,
     alexander_dual,
     cover_ideal,
     edge_ideal,
@@ -52,7 +53,7 @@ from .ideals import (
     symbolic_power_cover,
 )
 from .layered import LayeredGraph, build_gk
-from .theorems import REPORT_FORMATS, THEOREM_IDS, VERIFIERS, run_corpus
+from .theorems import REPORT_FORMATS, THEOREM_IDS, VERIFIERS, run_corpus, run_items
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -131,6 +132,10 @@ def _load_graph(path: str) -> Graph:
     return parse_graph_text(_read_file(path))
 
 
+def _load_ideal(path: str) -> MonomialIdeal:
+    return parse_ideal_text(_read_file(path))
+
+
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -189,25 +194,24 @@ def cmd_invariants(args) -> int:
     return EXIT_OK
 
 
+# `ideal` op -> (its positional arguments, in order, and the builder called
+# on their values); `k` is parsed as an int.
+IDEAL_OPS = {
+    "cover": (("graph",), lambda graph: cover_ideal(_load_graph(graph))),
+    "edge": (("graph",), lambda graph: edge_ideal(_load_graph(graph))),
+    "sympow": (("graph", "k"),
+               lambda graph, k: symbolic_power_cover(_load_graph(graph), k)),
+    "pow": (("ideal", "k"), lambda ideal, k: power(_load_ideal(ideal), k)),
+    "polarize": (("ideal",), lambda ideal: polarize(_load_ideal(ideal))),
+    "dual": (("ideal",), lambda ideal: alexander_dual(_load_ideal(ideal))),
+    "intersect": (("ideal_a", "ideal_b"),
+                  lambda a, b: intersect(_load_ideal(a), _load_ideal(b))),
+}
+
+
 def cmd_ideal(args) -> int:
-    op = args.ideal_op
-    if op == "cover":
-        ideal = cover_ideal(_load_graph(args.graph))
-    elif op == "edge":
-        ideal = edge_ideal(_load_graph(args.graph))
-    elif op == "sympow":
-        ideal = symbolic_power_cover(_load_graph(args.graph), args.k)
-    elif op == "pow":
-        ideal = power(parse_ideal_text(_read_file(args.ideal)), args.k)
-    elif op == "polarize":
-        ideal = polarize(parse_ideal_text(_read_file(args.ideal)))
-    elif op == "dual":
-        ideal = alexander_dual(parse_ideal_text(_read_file(args.ideal)))
-    else:
-        ideal = intersect(
-            parse_ideal_text(_read_file(args.ideal_a)),
-            parse_ideal_text(_read_file(args.ideal_b)),
-        )
+    names, build = IDEAL_OPS[args.ideal_op]
+    ideal = build(*(getattr(args, name) for name in names))
     if args.format == "json":
         text = _json_text(ideal_to_json(ideal))
     else:
@@ -260,17 +264,15 @@ def _verify_single(args, field: FieldChoice, theorems) -> list:
     partition = (
         parse_partition_text(_read_file(args.partition)) if args.partition else None
     )
-    outcomes = []
+    items = []
     for tid in theorems:
         spec = VERIFIERS[tid]
         if args.theorem == "all" and not spec.applies(g, partition):
             continue
         if spec.takes_partition and partition is None:
             raise InputError(f"verify {tid} needs --partition")
-        outcomes.append(
-            spec.call(g, partition, args.max_k, field, args.hochster_guard)
-        )
-    return outcomes
+        items.append((tid, g, partition, args.max_k, field, args.hochster_guard))
+    return run_items(items)
 
 
 def cmd_verify(args) -> int:
@@ -327,21 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     ideal = sub.add_parser("ideal", help="monomial-ideal constructions")
     isub = ideal.add_subparsers(dest="ideal_op", required=True)
-    for name in ("cover", "edge"):
-        q = isub.add_parser(name, parents=[out])
-        q.add_argument("graph")
-    q = isub.add_parser("sympow", parents=[out])
-    q.add_argument("graph")
-    q.add_argument("k", type=int)
-    q = isub.add_parser("pow", parents=[out])
-    q.add_argument("ideal")
-    q.add_argument("k", type=int)
-    for name in ("polarize", "dual"):
-        q = isub.add_parser(name, parents=[out])
-        q.add_argument("ideal")
-    q = isub.add_parser("intersect", parents=[out])
-    q.add_argument("ideal_a")
-    q.add_argument("ideal_b")
+    for op, (names, _build) in IDEAL_OPS.items():
+        q = isub.add_parser(op, parents=[out])
+        for name in names:
+            q.add_argument(name, type=int if name == "k" else None)
 
     p = sub.add_parser("gk", parents=[out],
                        help="build the layered graph for a symbolic power")

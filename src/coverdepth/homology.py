@@ -561,18 +561,11 @@ def reg_edge_ideal_layered(gk: LayeredGraph, f: FieldChoice = RATIONALS) -> int:
     """Regularity of the edge ideal of a layered graph, by the same
     fold-free sweep as `reg_edge_ideal` on G_k relabelled 1..n*k. Within a
     grid column the neighbourhoods shrink as the layer grows, so a swept
-    subset holds at most one vertex per column. Unguarded: callers bound
-    n * k through `layered_guard`."""
+    subset holds at most one vertex per column. Unguarded: its caller
+    `depth_symbolic_cover` bounds the n * k vertices of G_k."""
     if not gk.edges:
         raise InputError("regularity of an edge ideal needs at least one edge")
     return _reg_sweep(as_plain_graph(gk)[0].adj, f.char)
-
-
-def layered_guard(g: Graph, k: int, guard: int | None = None) -> int:
-    """The Hochster budget in force for depth(S / J(g)^(k)); raises
-    GuardError when the layered graph G_k, on n * k vertices, exceeds it."""
-    return check_guard(g.n * k, guard, DEFAULT_HOCHSTER_GUARD,
-                       "layered computation needs {cost} vertices, guard is {limit}")
 
 
 # memo for upper Koszul complexes: (char, live rows in vertex order) -> sparse dims
@@ -679,7 +672,8 @@ def depth_symbolic_cover(
         raise InputError("needs a graph with at least one edge")
     if k < 1:
         raise InputError("symbolic power exponent must be >= 1")
-    layered_guard(g, k, guard)
+    check_guard(g.n * k, guard, DEFAULT_HOCHSTER_GUARD,
+                "layered computation needs {cost} vertices, guard is {limit}")
     depth_a = g.n - _pd_symbolic_cover(g, k, f.char)
     depth_b = g.n - reg_edge_ideal_layered(build_gk(g, k), f)
     if depth_a != depth_b:

@@ -3,14 +3,17 @@
 Each verifier checks one statement relating cover-ideal depth, edge-ideal
 regularity, and matching numbers on a concrete graph, and returns a
 :class:`VerificationOutcome` that is `passed`, `failed` (with an expected
-vs computed payload), or `skipped` (resource guards; never silent).
+vs computed payload), or `skipped` (resource guards; never silent). Every
+outcome is built by `_outcome`.
 
 :data:`VERIFIERS` is the registry: one :class:`Verifier` entry per theorem
 id, in report order, saying which instances a verifier takes and how it is
 called. :data:`THEOREM_IDS`, :func:`run_corpus` and the CLI's single-graph
-mode all read it, so a new verifier is one entry. :func:`run_corpus` sweeps
-every verifier over exhaustively enumerated small graphs and yields a
-deterministic, machine-readable report, rendered by :data:`REPORT_FORMATS`.
+mode all read it, so a new verifier is one entry. Both modes hand their
+items to :func:`run_items`, the one place an entry is called.
+:func:`run_corpus` sweeps every verifier over exhaustively enumerated small
+graphs and yields a deterministic, machine-readable report, rendered by
+:data:`REPORT_FORMATS`.
 """
 
 from __future__ import annotations
@@ -71,51 +74,6 @@ def _stability(g: Graph) -> tuple[int, int, int, OrderedProfile]:
 
 
 @dataclass(frozen=True)
-class StabilityReport:
-    """Observed depth behaviour of symbolic cover-ideal powers of a graph.
-
-    `depths` maps each computed exponent k to depth(S / J^(k)); every entry
-    at or beyond `threshold` must equal `limit_depth` = n - t - 1.
-    `sdstab_observed_upper` is the smallest exponent from which the depths
-    stay at the limit within the computed window, or None when the window
-    never reaches the limit.
-    """
-
-    graph: Graph
-    ord_match: int
-    largest_stable_s: int
-    threshold: int
-    depths: tuple[tuple[int, int], ...]
-    limit_depth: int
-    sdstab_observed_upper: int | None
-
-    def __post_init__(self) -> None:
-        expected = stability_threshold(self.ord_match, self.largest_stable_s)
-        if self.threshold != expected:
-            raise InputError(
-                f"threshold {self.threshold} does not match the two-case "
-                f"formula value {expected}"
-            )
-        for k, depth in self.depths:
-            if k >= self.threshold and depth != self.limit_depth:
-                raise InputError(
-                    f"depth {depth} at k={k} >= threshold must equal the "
-                    f"limit {self.limit_depth}"
-                )
-
-    def to_json(self) -> dict:
-        return {
-            "graph": _graph_json(self.graph),
-            "ord_match": self.ord_match,
-            "largest_stable_s": self.largest_stable_s,
-            "threshold": self.threshold,
-            "depths": {str(k): d for k, d in self.depths},
-            "limit_depth": self.limit_depth,
-            "sdstab_observed_upper": self.sdstab_observed_upper,
-        }
-
-
-@dataclass(frozen=True)
 class VerificationOutcome:
     """Result of one verifier on one instance. `status` is `passed`,
     `failed`, or `skipped`; anything other than a pass carries details."""
@@ -149,10 +107,6 @@ def _graph_json(g: Graph) -> dict:
     return {"n": g.n, "edges": [list(e) for e in g.sorted_edges()]}
 
 
-def _pairs_json(pairs: Sequence) -> list:
-    return [[list(a), list(b)] for a, b in pairs]
-
-
 def _no_isolated(g: Graph) -> bool:
     return not isolated_vertices(g)
 
@@ -177,7 +131,7 @@ def _observed_stabilization(depths: dict[int, int], limit: int) -> int | None:
     return start
 
 
-# Depths computed so far in the running `run_corpus` call, keyed by
+# Depths computed so far in the running `run_items` call, keyed by
 # (n, adjacency masks, k, characteristic); None outside such a call.
 _DEPTH_MEMO: dict[tuple, int] | None = None
 
@@ -186,10 +140,11 @@ def _depth(g: Graph, k: int, f: FieldChoice, guard: int | None) -> int:
     """depth(S/J(g)^(k)) by `homology.depth_symbolic_cover`, looked up at
     call time so that wrappers set on the module see every call.
 
-    Inside `run_corpus` a depth already computed for the same labelled
-    graph, k and field is read from `_DEPTH_MEMO`; a guard hit raises and
-    is never stored. Outside it every call computes afresh, so single
-    verifier calls never read a value another call left behind."""
+    Inside `run_items`, which serves corpus and single-graph runs alike, a
+    depth already computed for the same labelled graph, k and field is
+    read from `_DEPTH_MEMO`; a guard hit raises and is never stored.
+    Outside it every call computes afresh, so direct verifier calls never
+    read a value another call left behind."""
     memo = _DEPTH_MEMO
     if memo is None:
         return homology.depth_symbolic_cover(g, k, f, guard)
@@ -258,16 +213,16 @@ def verify_main(
     }
     if failures or guard_hit is not None:
         return _outcome("main", instance, base, failures, guard_hit)
-    report = StabilityReport(
-        g,
-        t,
-        s,
-        threshold,
-        tuple(sorted(depths.items())),
-        limit,
-        _observed_stabilization(depths, limit),
-    )
-    return VerificationOutcome("main", instance, "passed", {"report": report.to_json()})
+    report = {
+        "graph": instance["graph"],
+        "ord_match": t,
+        "largest_stable_s": s,
+        "threshold": threshold,
+        "depths": base["depths"],
+        "limit_depth": limit,
+        "sdstab_observed_upper": _observed_stabilization(depths, limit),
+    }
+    return _outcome("main", instance, {"report": report}, {}, None)
 
 
 def verify_whisker(
@@ -372,9 +327,7 @@ def verify_reg_upper(
     try:
         reg = g.n - _depth(g, 1, f, guard)
     except GuardError as err:
-        return VerificationOutcome(
-            "regupper", instance, "skipped", {"reason": str(err)}
-        )
+        return _outcome("regupper", instance, {}, {}, str(err))
     t, _ = ordered_matching_number(g)
     ind = induced_matching_number(g)
     details = {
@@ -384,8 +337,9 @@ def verify_reg_upper(
         "upper_bound_ok": reg <= t + 1,
         "lower_bound_ok": reg >= ind + 1,
     }
-    status = "passed" if details["upper_bound_ok"] and details["lower_bound_ok"] else "failed"
-    return VerificationOutcome("regupper", instance, status, details)
+    failures = {name: False for name in ("upper_bound_ok", "lower_bound_ok")
+                if not details[name]}
+    return _outcome("regupper", instance, details, failures, None)
 
 
 def verify_bipartite(
@@ -428,6 +382,17 @@ def verify_bipartite(
     return _outcome("bipartite", instance, base, failures, guard_hit)
 
 
+def _witness(g: Graph, k: int, cert: Sequence, matching: Sequence) -> dict:
+    """Report entry of a proof matching on G_k built from `cert`."""
+    return {
+        "k": k,
+        "certificate": [list(p) for p in cert],
+        "matching": [[list(a), list(b)] for a, b in matching],
+        "induced": is_induced_matching_layered(build_gk(g, k), matching),
+        "size": len(matching),
+    }
+
+
 def verify_proof_matchings(
     g: Graph,
     f: FieldChoice = RATIONALS,
@@ -445,23 +410,11 @@ def verify_proof_matchings(
     t, s, threshold, profile = _stability(g)
     instance = {"graph": _graph_json(g), "field": f.label}
     details: dict = {"t": t, "s": s}
-    failures = {}
-    ran_any = False
 
     if s >= 2:
         _size, cert = profile.best(s)
         matching = proof_matching_main(g, cert, s, threshold)
-        induced = is_induced_matching_layered(build_gk(g, threshold), matching)
-        details["main"] = {
-            "k": threshold,
-            "certificate": [list(p) for p in cert],
-            "matching": _pairs_json(matching),
-            "induced": induced,
-            "size": len(matching),
-        }
-        ran_any = True
-        if not induced or len(matching) != t:
-            failures["main"] = details["main"]
+        details["main"] = _witness(g, threshold, cert, matching)
     else:
         details["main"] = {
             "status": "skipped",
@@ -480,25 +433,19 @@ def verify_proof_matchings(
             }
         else:
             matching = proof_matching_bipartite(g, cert_b, t)
-            induced = is_induced_matching_layered(build_gk(g, t), matching)
-            details["bipartite"] = {
-                "k": t,
-                "certificate": [list(p) for p in cert_b],
-                "matching": _pairs_json(matching),
-                "induced": induced,
-                "size": len(matching),
-            }
-            ran_any = True
-            if not induced or len(matching) != t:
-                failures["bipartite"] = details["bipartite"]
+            details["bipartite"] = _witness(g, t, cert_b, matching)
     else:
         details["bipartite"] = {
             "status": "skipped",
             "reason": "graph is not bipartite",
         }
 
-    # every failure entry is also in details, so merging them adds nothing
-    skip = None if ran_any else "no construction hypothesis applies"
+    # a built matching's entry carries its exponent k; every failure entry
+    # is also in details, so merging them adds nothing
+    built = [name for name in ("main", "bipartite") if "k" in details[name]]
+    failures = {name: details[name] for name in built
+                if not details[name]["induced"] or details[name]["size"] != t}
+    skip = None if built else "no construction hypothesis applies"
     return _outcome("proofmatch", instance, details, failures, skip)
 
 
@@ -620,6 +567,14 @@ def run_corpus(
         else:
             instances = [(g, None) for g in corpus if spec.applies(g, None)]
         items.extend((tid, g, pi, k_max, field, guard) for g, pi in instances)
+    return run_items(items, jobs)
+
+
+def run_items(items: Sequence[tuple], jobs: int = 1) -> list[VerificationOutcome]:
+    """Runs each (theorem id, graph, partition, k_max, field, guard) item
+    through its registry entry, in item order whatever `jobs` is. While
+    they run each depth is computed once per labelled graph, k and field
+    (`_depth`); the memo is gone when this returns or raises."""
     global _DEPTH_MEMO
     _DEPTH_MEMO = {}
     try:

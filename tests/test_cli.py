@@ -163,6 +163,171 @@ def test_ideal_json_round_trip(files, capsys):
     assert data == {"vars": [1, 2, 3], "gens": [[1, 1, 0], [1, 0, 1], [0, 1, 1]]}
 
 
+# `ideal` parsers are generated from `cli.IDEAL_OPS`; this is their help at
+# 80 columns, as the hand-written parsers printed it.
+IDEAL_HELP = """\
+usage: coverdepth ideal [-h]
+                        {cover,edge,sympow,pow,polarize,dual,intersect} ...
+
+positional arguments:
+  {cover,edge,sympow,pow,polarize,dual,intersect}
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+IDEAL_OP_HELP = {
+    "cover": """\
+usage: coverdepth ideal cover [-h] [--format {text,json}] [--output OUTPUT]
+                              graph
+
+positional arguments:
+  graph
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}
+  --output OUTPUT
+""",
+    "edge": """\
+usage: coverdepth ideal edge [-h] [--format {text,json}] [--output OUTPUT]
+                             graph
+
+positional arguments:
+  graph
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}
+  --output OUTPUT
+""",
+    "sympow": """\
+usage: coverdepth ideal sympow [-h] [--format {text,json}] [--output OUTPUT]
+                               graph k
+
+positional arguments:
+  graph
+  k
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}
+  --output OUTPUT
+""",
+    "pow": """\
+usage: coverdepth ideal pow [-h] [--format {text,json}] [--output OUTPUT]
+                            ideal k
+
+positional arguments:
+  ideal
+  k
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}
+  --output OUTPUT
+""",
+    "polarize": """\
+usage: coverdepth ideal polarize [-h] [--format {text,json}] [--output OUTPUT]
+                                 ideal
+
+positional arguments:
+  ideal
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}
+  --output OUTPUT
+""",
+    "dual": """\
+usage: coverdepth ideal dual [-h] [--format {text,json}] [--output OUTPUT]
+                             ideal
+
+positional arguments:
+  ideal
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}
+  --output OUTPUT
+""",
+    "intersect": """\
+usage: coverdepth ideal intersect [-h] [--format {text,json}]
+                                  [--output OUTPUT]
+                                  ideal_a ideal_b
+
+positional arguments:
+  ideal_a
+  ideal_b
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}
+  --output OUTPUT
+""",
+}
+
+
+def test_ideal_parser_help_pinned(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    ideal = next(a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices["ideal"]
+    assert ideal.format_help() == IDEAL_HELP
+    ops = {path[0]: p for path, p in _leaf_parsers(ideal)}
+    assert list(ops) == list(IDEAL_OP_HELP)
+    for op, p in ops.items():
+        assert p.format_help() == IDEAL_OP_HELP[op]
+        assert p.format_usage() == IDEAL_OP_HELP[op].split("\n\n")[0] + "\n"
+
+
+# (op and arguments, text output, JSON output); file names are keys of the
+# `files` fixture or of IDEAL_FILES
+IDEAL_FILES = {
+    "edge": "(x1 x2, x2 x3, x3 x4)\n",
+    "cover": "(x1 x3, x2 x3, x2 x4)\n",
+    "sympow": "(x1^2, x1 x2, x2^2)\n",
+}
+IDEAL_OUTPUTS = [
+    (["cover", "p4"], "(x1 x3, x2 x3, x2 x4)",
+     {"vars": [1, 2, 3, 4], "gens": [[1, 0, 1, 0], [0, 1, 1, 0], [0, 1, 0, 1]]}),
+    (["edge", "p4"], "(x1 x2, x2 x3, x3 x4)",
+     {"vars": [1, 2, 3, 4], "gens": [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]]}),
+    (["sympow", "k2", "2"], "(x1^2, x1 x2, x2^2)",
+     {"vars": [1, 2], "gens": [[2, 0], [1, 1], [0, 2]]}),
+    (["pow", "edge", "2"],
+     "(x1^2 x2^2, x1 x2^2 x3, x1 x2 x3 x4, x2^2 x3^2, x2 x3^2 x4, x3^2 x4^2)",
+     {"vars": [1, 2, 3, 4], "gens": [[2, 2, 0, 0], [1, 2, 1, 0], [1, 1, 1, 1],
+                                     [0, 2, 2, 0], [0, 1, 2, 1], [0, 0, 2, 2]]}),
+    (["polarize", "sympow"], "(x1_1 x1_2, x1_1 x2_1, x2_1 x2_2)",
+     {"vars": [[1, 1], [1, 2], [2, 1], [2, 2]],
+      "gens": [[1, 1, 0, 0], [1, 0, 1, 0], [0, 0, 1, 1]]}),
+    (["dual", "edge"], "(x1 x3, x2 x3, x2 x4)",
+     {"vars": [1, 2, 3, 4], "gens": [[1, 0, 1, 0], [0, 1, 1, 0], [0, 1, 0, 1]]}),
+    (["intersect", "edge", "cover"], "(x2 x3, x1 x2 x4, x1 x3 x4)",
+     {"vars": [1, 2, 3, 4], "gens": [[0, 1, 1, 0], [1, 1, 0, 1], [1, 0, 1, 1]]}),
+]
+
+
+def test_ideal_op_outputs_pinned(files, capsys):
+    """Every `ideal` op's text and JSON output on P4, K2 and ideals built
+    from them, byte for byte; a non-integer exponent is a usage error."""
+    for name, text in IDEAL_FILES.items():
+        (files["dir"] / f"{name}.txt").write_text(text)
+        files[name] = str(files["dir"] / f"{name}.txt")
+    assert [argv[0] for argv, _, _ in IDEAL_OUTPUTS] == list(IDEAL_OP_HELP)
+    for argv, text, data in IDEAL_OUTPUTS:
+        argv = ["ideal", argv[0], *(files.get(a, a) for a in argv[1:])]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == text + "\n"
+        assert main([*argv, "--format", "json"]) == 0
+        assert capsys.readouterr().out == json.dumps(data, indent=2, sort_keys=True) + "\n"
+    for argv in (["sympow", files["p4"], "x"], ["pow", files["edge"], "x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["ideal", *argv])
+        assert exc.value.code == 2
+        assert "argument k: invalid int value: 'x'" in capsys.readouterr().err
+
+
 def test_gk_output(files, capsys):
     assert main(["gk", files["k2"], "2"]) == 0
     assert capsys.readouterr().out == "n 2 k 2\n1_1 2_1\n1_1 2_2\n1_2 2_1\n"

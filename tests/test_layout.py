@@ -8,7 +8,8 @@ string constant (the tracer looks its layer functions up by name).
 Docstrings do not count.
 
 The same scan checks that the Taylor Betti oracle stays independent of the
-Hochster engine it cross-checks.
+Hochster engine it cross-checks, and that verification outcomes are built
+and verifiers dispatched in one place each.
 """
 
 from __future__ import annotations
@@ -117,3 +118,46 @@ def test_taylor_oracle_is_independent_of_the_hochster_engine():
         planted, planted_tree = _taylor_oracle()
         planted.body.append(ast.parse(f"{name}(gens)").body[0])
         assert name in _engine_names(planted, planted_tree)
+
+
+# Call name -> the one definition in `src/coverdepth` allowed to make it:
+# every outcome comes from `_outcome`, and every registry entry is called by
+# `_run_item`, which corpus and single-graph runs both reach through
+# `run_items`.
+SOLE_CALLERS = {"VerificationOutcome": "theorems._outcome", "call": "theorems._run_item"}
+
+
+def _callers(trees: dict[str, ast.Module]) -> dict[str, set[str]]:
+    """For each name in SOLE_CALLERS, the `module.definition` of every
+    top-level definition (`module.<module>` for module-level code) that
+    calls it, as `name(...)` or `x.name(...)`."""
+    found: dict[str, set[str]] = {name: set() for name in SOLE_CALLERS}
+    for module, tree in trees.items():
+        for node in tree.body:
+            owner = f"{module}.{getattr(node, 'name', '<module>')}"
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Call):
+                    name = getattr(sub.func, "attr", getattr(sub.func, "id", None))
+                    if name in found:
+                        found[name].add(owner)
+    return found
+
+
+def _source_trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text()) for path in SRC}
+
+
+def test_one_outcome_builder_and_one_dispatcher():
+    assert _callers(_source_trees()) == {
+        name: {owner} for name, owner in SOLE_CALLERS.items()
+    }
+    # the scan sees either call planted in another verifier or in the CLI
+    plants = {"VerificationOutcome": "VerificationOutcome('main', {}, 'passed', {})",
+              "call": "VERIFIERS['main'].call(g, None, 3, field, None)"}
+    for module, function in [("theorems", "verify_main"), ("cli", "_verify_single")]:
+        for name, statement in plants.items():
+            trees = _source_trees()
+            target = next(node for node in trees[module].body
+                          if getattr(node, "name", None) == function)
+            target.body.insert(0, ast.parse(statement).body[0])
+            assert f"{module}.{function}" in _callers(trees)[name]

@@ -22,7 +22,6 @@ from coverdepth.graphs import (
 from coverdepth.homology import F2, RATIONALS
 from coverdepth.theorems import (
     THEOREM_IDS,
-    StabilityReport,
     VerificationOutcome,
     clique_partitions,
     instance_hash,
@@ -81,16 +80,6 @@ def test_stability_threshold():
     for t, s in [(0, 1), (2, 0), (2, 3)]:
         with pytest.raises(InputError):
             stability_threshold(t, s)
-
-
-def test_stability_report_validation():
-    g = path(4)
-    report = StabilityReport(g, 2, 2, 2, ((1, 2), (2, 1), (3, 1)), 1, 2)
-    assert report.to_json()["depths"] == {"1": 2, "2": 1, "3": 1}
-    with pytest.raises(InputError):
-        StabilityReport(g, 2, 2, 3, ((2, 1),), 1, None)
-    with pytest.raises(InputError):
-        StabilityReport(g, 2, 2, 2, ((2, 0),), 1, None)
 
 
 def test_verification_outcome_validation():
@@ -388,6 +377,32 @@ def test_run_corpus_sweeps_each_layered_graph_once(monkeypatch):
     assert seen and len(seen) == len(set(seen))
     assert live and all(live)
     assert theorems._DEPTH_MEMO is None
+
+
+def test_single_graph_runs_compute_each_depth_once(monkeypatch, tmp_path, capsys):
+    """`verify all --graph` runs its verifiers through the same runner as
+    the corpus sweep: no (graph, k, field) depth is computed twice in one
+    run, and the memo is gone once the run returns. On P4 and K3, `main`
+    and `regind` both read the depths at the threshold and one past it."""
+    computed = []
+    depth = homology.depth_symbolic_cover
+
+    def counting(g, k, f=RATIONALS, guard=None):
+        value = depth(g, k, f, guard)
+        computed.append((g.n, g.adj, k, f.char))
+        return value
+
+    monkeypatch.setattr(homology, "depth_symbolic_cover", counting)
+    partition = tmp_path / "pi.txt"
+    partition.write_text("1 2\n3\n")
+    for name, extra in [("P4", []), ("K3", ["--partition", str(partition)])]:
+        graph = tmp_path / f"{name}.txt"
+        graph.write_text(FAULT_GRAPH_FILES[name])
+        computed.clear()
+        assert cli.main(["verify", "all", "--graph", str(graph), *extra]) == 0
+        assert computed and len(computed) == len(set(computed)), name
+        assert theorems._DEPTH_MEMO is None
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("by", [1, -1], ids=["up", "down"])
