@@ -4,8 +4,9 @@ reports out.
 
 Each command takes only the flags its handler reads. Every command takes
 --format (text or json) and --output; `depth` and `verify` add --field and
---hochster-guard; `verify` adds --max-k, --max-vertices, --jobs, --graph,
---partition, and the csv format. Any other flag is a usage error.
+--hochster-guard; `verify` adds --max-k, --jobs, --graph, --max-vertices
+(corpus runs only), --partition (with --graph only), and the csv format.
+Any other flag, or a mode's flag in the other mode, is a usage error.
 
 Exit codes: 0 success; 1 verification found failures; 2 unparseable or
 rejected input, usage errors included; 3 resource guard exceeded; 4
@@ -63,6 +64,7 @@ EXIT_PRECONDITION = 4
 EXIT_INCONSISTENT = 5
 
 FIELDS = {"q": RATIONALS, "f2": F2}
+DEFAULT_MAX_VERTICES = 5
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +274,7 @@ def _verify_single(args, field: FieldChoice, theorems) -> list:
         if spec.takes_partition and partition is None:
             raise InputError(f"verify {tid} needs --partition")
         items.append((tid, g, partition, args.max_k, field, args.hochster_guard))
-    return run_items(items)
+    return run_items(items, args.jobs)
 
 
 def cmd_verify(args) -> int:
@@ -280,10 +282,14 @@ def cmd_verify(args) -> int:
     field = FIELDS[args.field]
     try:
         if args.graph:
+            if args.max_vertices is not None:
+                raise InputError("--max-vertices bounds a corpus run, not --graph")
             outcomes = _verify_single(args, field, theorems)
         else:
+            if args.partition:
+                raise InputError("--partition needs --graph")
             outcomes = run_corpus(
-                max_vertices=args.max_vertices,
+                max_vertices=args.max_vertices or DEFAULT_MAX_VERTICES,
                 k_max=args.max_k,
                 field=field,
                 theorems=theorems,
@@ -348,12 +354,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run theorem verifiers over a corpus or one graph")
     p.add_argument("theorem", choices=[*THEOREM_IDS, "all"])
     p.add_argument("--max-k", type=int, default=3)
-    p.add_argument("--max-vertices", type=int, default=5)
+    p.add_argument("--max-vertices", type=int, default=None,
+                   help=f"largest corpus graph (default {DEFAULT_MAX_VERTICES}); "
+                   "not with --graph")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--graph", default=None,
                    help="verify a single graph file instead of the corpus")
     p.add_argument("--partition", default=None,
-                   help="clique-partition file for whisker verification")
+                   help="clique-partition file for whisker verification; "
+                   "needs --graph")
     return parser
 
 
@@ -369,8 +378,8 @@ def _check_flags(args) -> None:
             f"{DEFAULT_HOCHSTER_GUARD}; set {GUARD_OVERRIDE_ENV}=1 to raise guards"
         )
     for name in ("max_k", "max_vertices", "hochster_guard", "jobs"):
-        value = flags.get(name, 1)
-        if value < 1:
+        value = flags.get(name)
+        if value is not None and value < 1:
             raise InputError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
 
 

@@ -7,7 +7,7 @@ read off the Betti table (depth through the projective-dimension complement
 in the original variable count). Every face list, the independent sets of
 a graph included, comes from one bitmask walk, `_faces_by_dim`; only the
 edge-ideal regularity sweep walks its subsets itself, because it prunes them
-by size (`_reg_sweep`).
+by size and by the link of their top vertex (`_reg_sweep`).
 
 Two independent cross-checks keep the main engine honest. The Taylor
 oracle (`taylor_betti_oracle`) minimalizes the generator-subset resolution
@@ -35,6 +35,14 @@ results:
   evaluated. The sweep checks every degree it reads against the bound and
   raises ConsistencyError on a breach, so the pruning cannot hide a kernel
   fault that breaks the bound;
+* it evaluates a subset only if the link of its top vertex v can carry a
+  new degree: by Mayer-Vietoris on deleting v, a degree d that the subset
+  without v lacks needs degree d - 1 in Ind(G[W \\ N[v]]), so
+  |W \\ N[v]| >= 2d. That subset without v is the walk's parent node, which
+  cannot beat the best degree so far, so a subset leaving fewer than twice
+  the best outside N[v] is skipped. Every degree read that could raise the
+  best is checked against this link bound too, with ConsistencyError on a
+  breach;
 * route A of the depth check (`_pd_symbolic_cover`) stops at the same
   bound: each upper Koszul complex K^b is the independence complex of a
   graph on its live vertices, so a point b can raise pd to d + 2 only if
@@ -510,10 +518,23 @@ def _reg_sweep(adj: tuple[int, ...], char: int) -> int:
     of a quadric ideal beta_{i,j} != 0 needs j <= 2i, which by Hochster's
     formula reads H~_d(Ind(G[W])) != 0 => |W| >= 2d + 2. So a face is
     evaluated only when |W| // 2 exceeds the best d + 1 so far, and a
-    branch is dropped once (|face| + |candidates|) // 2 cannot. The bound
-    uses subset sizes only. The pruning trusts it, so every degree read
-    from `_ind_dims` (sparse, nonzero, vanishing on cones) is checked
-    against it, and a breach raises ConsistencyError."""
+    branch is dropped once (|face| + |candidates|) // 2 cannot.
+
+    It is also filtered by link and deletion (Mayer-Vietoris) at the face's
+    top vertex v: Ind(G[W]) is Ind(G[W - v]) glued to the cone from v over
+    the link Ind(G[W \\ N[v]]), so H~_d(Ind(G[W])) != 0 needs
+    H~_d(Ind(G[W - v])) != 0 or H~_{d-1}(Ind(G[W \\ N[v]])) != 0. W - v is
+    the face's parent, popped before it, and no degree of the parent beats
+    the best so far: it was evaluated, or skipped by the size bound or by
+    this filter. So a degree d >= best needs the link's homology in degree
+    d - 1, and by the quadric bound on the link |W \\ N[v]| >= 2d; a face
+    whose link has fewer than 2 * best vertices is not evaluated.
+
+    Both bounds use subset sizes only. The pruning trusts them, so every
+    degree read from `_ind_dims` (sparse, nonzero, vanishing on cones) is
+    checked against the quadric bound, and every degree d >= best (as it
+    stood before the face) against the link bound, and a breach raises
+    ConsistencyError."""
     n = len(adj)
     up = [sum(1 << u for u in range(v + 1, n)
               if not adj[v] & ~adj[u] or not adj[u] & ~adj[v]) for v in range(n)]
@@ -525,13 +546,23 @@ def _reg_sweep(adj: tuple[int, ...], char: int) -> int:
         if (size + candidates.bit_count()) // 2 <= best:
             continue
         if size // 2 > best:
-            for d in _ind_dims(adj, face, char):
-                if 2 * d + 2 > size:
-                    raise ConsistencyError(
-                        f"homology of degree {d} on {size} vertices breaks the "
-                        f"quadric bound |W| >= 2d + 2"
-                    )
-                best = max(best, d + 1)
+            v = face.bit_length() - 1
+            link = (face & ~adj[v]).bit_count() - 1
+            floor = best
+            if link >= 2 * floor:
+                for d in _ind_dims(adj, face, char):
+                    if 2 * d + 2 > size:
+                        raise ConsistencyError(
+                            f"homology of degree {d} on {size} vertices breaks the "
+                            f"quadric bound |W| >= 2d + 2"
+                        )
+                    if d >= floor and 2 * d > link:
+                        raise ConsistencyError(
+                            f"homology of degree {d} on {size} vertices, {link} "
+                            f"of them off the top vertex's closed neighbourhood, "
+                            f"breaks the link bound |W \\ N[v]| >= 2d"
+                        )
+                    best = max(best, d + 1)
         above = 0  # candidates above the current one
         while candidates:  # highest first, so the lowest is walked next
             v = candidates.bit_length() - 1
@@ -665,7 +696,8 @@ def depth_symbolic_cover(
     The routes share only the face walk (route B reaches it through
     `_component_dims`), `_dims_from_faces` and `rank`. Both prune by the
     same quadric size bound, but each checks every degree it reads against
-    that bound itself. A disagreement is an internal error, never resolved
+    that bound itself; route B also filters by, and checks, the link bound
+    of `_reg_sweep`. A disagreement is an internal error, never resolved
     silently.
     """
     if not g.edges:

@@ -572,16 +572,19 @@ def run_corpus(
 
 def run_items(items: Sequence[tuple], jobs: int = 1) -> list[VerificationOutcome]:
     """Runs each (theorem id, graph, partition, k_max, field, guard) item
-    through its registry entry, in item order whatever `jobs` is. While
-    they run each depth is computed once per labelled graph, k and field
-    (`_depth`); the memo is gone when this returns or raises."""
+    through its registry entry, in item order whatever `jobs` is, on at
+    most one worker process per item. While they run each depth is
+    computed once per labelled graph, k and field (`_depth`); the memo is
+    gone when this returns or raises."""
     global _DEPTH_MEMO
     _DEPTH_MEMO = {}
+    workers = min(jobs, len(items))
     try:
-        if jobs == 1:
+        if workers <= 1:
             return [_run_item(item) for item in items]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_run_item, items, chunksize=8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = min(8, -(-len(items) // workers))
+            return list(pool.map(_run_item, items, chunksize=chunk))
     finally:
         _DEPTH_MEMO = None
 

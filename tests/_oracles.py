@@ -4,12 +4,13 @@ Everything here is deliberately naive and shares no code with the package:
 subsets via itertools, membership-by-divisibility, homology by Fraction
 Gaussian elimination. Slow is fine; these run on tiny inputs only.
 
-Two reference paths are kept from earlier versions of the package, to check
-the faster code that replaced them: `tuple_taylor_betti` (the Taylor oracle
-on exponent tuples, which uses the package's `rank` and `BettiTable`) and
-the polarization identity (`layered_cover_ideal`,
-`check_polarization_identity`), which builds both sides from the package's
-ideal operations.
+Three reference paths are kept from earlier versions of the package, to
+check the faster code that replaced them: `tuple_taylor_betti` (the Taylor
+oracle on exponent tuples, which uses the package's `rank` and
+`BettiTable`), `unfiltered_reg_sweep` (the regularity sweep before its link
+filter, which reads the package's `_ind_dims`) and the polarization
+identity (`layered_cover_ideal`, `check_polarization_identity`), which
+builds both sides from the package's ideal operations.
 """
 
 from __future__ import annotations
@@ -18,8 +19,14 @@ import itertools
 from collections import defaultdict
 from fractions import Fraction
 
+from coverdepth import homology
 from coverdepth._linalg import rank
-from coverdepth.errors import DEFAULT_TAYLOR_GUARD, InputError, check_guard
+from coverdepth.errors import (
+    DEFAULT_TAYLOR_GUARD,
+    ConsistencyError,
+    InputError,
+    check_guard,
+)
 from coverdepth.graphs import Graph
 from coverdepth.homology import RATIONALS, BettiTable, FieldChoice
 from coverdepth.ideals import (
@@ -369,6 +376,39 @@ def tuple_taylor_betti(
                 counts[(size, j)] += h
     entries = tuple(sorted((i, j, b) for (i, j), b in counts.items() if b))
     return BettiTable(ideal.ring.num_vars, entries)
+
+
+def unfiltered_reg_sweep(adj: tuple[int, ...], char: int) -> int:
+    """`homology._reg_sweep` as it was before the link-deletion filter:
+    the fold-free walk pruned by the quadric size bound alone. Verbatim but
+    for reading `_ind_dims` through the `homology` module, so a test that
+    wraps the kernel counts this sweep's evaluations too."""
+    n = len(adj)
+    up = [sum(1 << u for u in range(v + 1, n)
+              if not adj[v] & ~adj[u] or not adj[u] & ~adj[v]) for v in range(n)]
+    best = 0
+    stack = [(0, (1 << n) - 1)]
+    while stack:
+        face, candidates = stack.pop()
+        size = face.bit_count()
+        if (size + candidates.bit_count()) // 2 <= best:
+            continue
+        if size // 2 > best:
+            for d in homology._ind_dims(adj, face, char):
+                if 2 * d + 2 > size:
+                    raise ConsistencyError(
+                        f"homology of degree {d} on {size} vertices breaks the "
+                        f"quadric bound |W| >= 2d + 2"
+                    )
+                best = max(best, d + 1)
+        above = 0  # candidates above the current one
+        while candidates:  # highest first, so the lowest is walked next
+            v = candidates.bit_length() - 1
+            bit = 1 << v
+            candidates ^= bit
+            stack.append((face | bit, above & ~up[v]))
+            above |= bit
+    return best + 1
 
 
 def layered_cover_ideal(gk: LayeredGraph) -> MonomialIdeal:

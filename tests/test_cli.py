@@ -19,6 +19,7 @@ from coverdepth.cli import (
     parse_graph_text,
     parse_partition_text,
 )
+from coverdepth import cli
 from coverdepth.errors import ParseError
 from coverdepth.graphs import Graph
 from coverdepth.layered import build_gk
@@ -430,6 +431,40 @@ def test_verify_single_graph_matches_corpus(tmp_path, capsys):
     for graph in graphs:
         check(graph)
     check({"n": 3, "edges": [[1, 2], [1, 3], [2, 3]]}, partition=[[1, 2], [3]])
+
+
+def test_verify_mode_flags_are_usage_errors_in_the_other_mode(files, capsys):
+    """`--max-vertices` bounds a corpus run and `--partition` belongs to a
+    single-graph run; either in the other mode is a usage error (exit 2),
+    not a flag silently ignored."""
+    argv = ["verify", "all", "--graph", files["k2"], "--max-vertices", "7"]
+    assert main(argv) == 2
+    assert "--max-vertices bounds a corpus run" in capsys.readouterr().err
+    pi = files["dir"] / "pi.txt"
+    pi.write_text("1 2\n")
+    assert main(["verify", "whisker", "--partition", str(pi)]) == 2
+    assert "--partition needs --graph" in capsys.readouterr().err
+
+
+def test_verify_single_graph_deterministic_across_jobs(files, monkeypatch, capsys):
+    """A single-graph run hands `--jobs` to the runner, and its report is
+    byte-identical at one and two worker processes."""
+    seen = []
+    run_items = cli.run_items
+
+    def recording(items, jobs=1):
+        seen.append(jobs)
+        return run_items(items, jobs)
+
+    monkeypatch.setattr(cli, "run_items", recording)
+    base = ["verify", "all", "--graph", files["p4"], "--format", "json"]
+    r1 = files["dir"] / "r1.json"
+    r2 = files["dir"] / "r2.json"
+    assert main([*base, "--jobs", "1", "--output", str(r1)]) == 0
+    assert main([*base, "--jobs", "2", "--output", str(r2)]) == 0
+    assert seen == [1, 2]
+    assert r1.read_bytes() == r2.read_bytes()
+    capsys.readouterr()
 
 
 def test_verify_corpus_small(files, capsys):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coverdepth import homology
+from coverdepth import cli, homology
 from coverdepth._bits import iter_bits
 from coverdepth.errors import (
     DEFAULT_TAYLOR_GUARD,
@@ -24,7 +24,12 @@ from coverdepth.errors import (
     GuardError,
     InputError,
 )
-from coverdepth.graphs import Graph, enumerate_graphs, isomorphism_representatives
+from coverdepth.graphs import (
+    Graph,
+    enumerate_graphs,
+    isomorphism_classes,
+    isomorphism_representatives,
+)
 from coverdepth.homology import (
     F2,
     RATIONALS,
@@ -49,7 +54,12 @@ from coverdepth.ideals import (
 )
 from coverdepth.layered import as_plain_graph, build_gk
 
-from _oracles import brute_ordered_matching, brute_reduced_homology, tuple_taylor_betti
+from _oracles import (
+    brute_ordered_matching,
+    brute_reduced_homology,
+    tuple_taylor_betti,
+    unfiltered_reg_sweep,
+)
 
 
 def path(n: int) -> Graph:
@@ -541,15 +551,33 @@ def test_reg_edge_ideal_errors():
         reg_edge_ideal(path(4), guard=3)
 
 
-def _unpruned_reg(g: Graph, f: FieldChoice = RATIONALS) -> int:
+def _unpruned_reg(g: Graph, f: FieldChoice = RATIONALS, masks=None) -> int:
     """Reference edge-ideal regularity with no sweep pruning: one more than
     the largest d + 1 with nonzero degree-d homology over all 2^n induced
-    subgraphs."""
+    subgraphs, or over the vertex masks `masks` if given."""
     best = 0
-    for mask in range(1 << g.n):
+    for mask in range(1 << g.n) if masks is None else masks:
         for d in homology._ind_dims(g.adj, mask, f.char):
             best = max(best, d + 1)
     return best + 1
+
+
+def _column_masks(labels) -> list[int]:
+    """Every vertex mask of G_k relabelled by `as_plain_graph` (labels[v] is
+    vertex v's (column, layer)) with at most one vertex per grid column.
+    Within a column the neighbourhoods are nested, so by the fold lemma
+    these subsets reach every homology degree that all subsets reach."""
+    columns: dict[int, list[int]] = defaultdict(list)
+    for v, (i, _layer) in enumerate(labels):
+        columns[i].append(1 << v)
+    return [sum(pick) for pick in itertools.product(*([0, *c] for c in columns.values()))]
+
+
+def _corpus5_layered() -> list:
+    """G_k, k <= 3, of every isolated-free graph class on at most five
+    vertices: the layered graphs route B sweeps in `verify all` on the
+    five-vertex corpus."""
+    return [build_gk(g, k) for g in isomorphism_classes(5) if all(g.adj) for k in (1, 2, 3)]
 
 
 @pytest.mark.parametrize(
@@ -573,24 +601,48 @@ def test_reg_layered_matches_plain_sweep_random(g, k):
 
 def test_fold_free_sweep_matches_unpruned_reference():
     """The regularity sweep visits only subsets with no nested pair
-    N(v) <= N(u); the unpruned sweep over every subset must give the same
-    value, over Q and F2, from a cold memo, on every labelled graph with an
-    edge on at most five vertices and on G_k of every isolated-free graph
-    class on at most four vertices with k <= 3."""
+    N(v) <= N(u), and evaluates only those its size bound and link filter
+    let through; the unpruned sweep must give the same value, over Q and
+    F2, from a cold memo. It covers every labelled graph with an edge on at
+    most five vertices over every subset, and G_k, k <= 3, of every
+    isolated-free graph class on at most five vertices: over every subset
+    up to four vertices, and over the subsets with at most one vertex per
+    grid column on five, where 2^(5k) subsets are too many."""
     homology._COMPONENT_DIMS.clear()
     graphs = [g for n in range(2, 6) for g in enumerate_graphs(n) if g.edges]
-    layered = [
-        build_gk(g, k)
-        for n in range(2, 5)
-        for g in isomorphism_representatives(enumerate_graphs(n, no_isolated=True))
-        for k in (1, 2, 3)
-    ]
+    layered = _corpus5_layered()
     for f in (RATIONALS, F2):
         for g in graphs:
             assert reg_edge_ideal(g, f) == _unpruned_reg(g, f), (g, f)
         for gk in layered:
-            plain, _labels = as_plain_graph(gk)
-            assert reg_edge_ideal_layered(gk, f) == _unpruned_reg(plain, f), (gk, f)
+            plain, labels = as_plain_graph(gk)
+            masks = _column_masks(labels) if gk.base_n == 5 else None
+            want = _unpruned_reg(plain, f, masks)
+            assert reg_edge_ideal_layered(gk, f) == want, (gk, f)
+
+
+def test_link_filter_cuts_evaluations(monkeypatch):
+    """On the G_k of `_corpus5_layered`, the sweep gives the value of the
+    sweep before the link filter (`unfiltered_reg_sweep`) and makes at most
+    0.7 times as many `_ind_dims` evaluations."""
+    calls = []
+    inner = homology._ind_dims
+
+    def counting(adj, mask, char):
+        calls.append(mask)
+        return inner(adj, mask, char)
+
+    monkeypatch.setattr(homology, "_ind_dims", counting)
+    filtered = unfiltered = 0
+    for gk in _corpus5_layered():
+        adj = as_plain_graph(gk)[0].adj
+        calls.clear()
+        got = homology._reg_sweep(adj, 0)
+        filtered += len(calls)
+        calls.clear()
+        assert got == unfiltered_reg_sweep(adj, 0), gk
+        unfiltered += len(calls)
+    assert filtered <= 0.7 * unfiltered, (filtered, unfiltered)
 
 
 @pytest.mark.parametrize(
@@ -610,6 +662,57 @@ def test_size_bound_is_tight(g):
                  if top in homology._ind_dims(g.adj, mask, f.char)]
         assert min(sizes) == 2 * top + 2
         assert homology._reg_sweep(g.adj, f.char) == top + 2, (g, f)
+
+
+@pytest.mark.parametrize(
+    "g", [cycle(5), as_plain_graph(build_gk(path(4), 2))[0]], ids=["C5", "P4-G2"]
+)
+def test_link_bound_is_tight(g):
+    """The sweep evaluates a face only if its top vertex v leaves at least
+    2 * best vertices outside N[v], since a new degree d needs the link's
+    degree d - 1 and so |W \\ N[v]| >= 2d. On these graphs every face with
+    homology in the top degree d leaves exactly 2d: on C5 the only one is
+    the whole cycle, where vertex 5 leaves 2 and 3, and the edges have
+    already set best = 1. So a filter one vertex stricter loses the degree
+    (reg(C5) would read 2). Compared with the unpruned reference over Q and
+    F2."""
+    for f in (RATIONALS, F2):
+        top = _unpruned_reg(g, f) - 2
+        links = [(mask & ~g.adj[mask.bit_length() - 1]).bit_count() - 1
+                 for mask in range(1 << g.n) if top in homology._ind_dims(g.adj, mask, f.char)]
+        assert top >= 1 and min(links) == 2 * top
+        assert homology._reg_sweep(g.adj, f.char) == top + 2, (g, f)
+
+
+# a graph on which the fault below trips the link bound and not the quadric one
+LINK_FAULT_GRAPH = "n 6\n1 4\n1 6\n2 3\n2 4\n2 5\n3 4\n3 5\n"
+
+
+def test_sweep_checks_the_link_bound(monkeypatch, tmp_path, capsys):
+    """A kernel fault that moves the top degree d of a mask up by one
+    wherever |W| >= 2(d + 1) + 2 still holds passes the quadric check. On
+    this graph it reads degree 1 on the face {1, 2, 3, 4} (truly a path and
+    a point, degree 0 only) while best is 0; its top vertex 4 is adjacent
+    to the other three, so the link bound |W \\ N[v]| >= 2d fails, and the
+    sweep raises ConsistencyError naming it instead of returning a
+    regularity its filter may have cut. `coverdepth depth` exits 5."""
+    inner = homology._ind_dims
+
+    def raised(adj, mask, char):
+        dims = inner(adj, mask, char)
+        if dims and 2 * max(dims) + 4 <= mask.bit_count():
+            top = max(dims)
+            dims = {**{d: c for d, c in dims.items() if d != top}, top + 1: dims[top]}
+        return dims
+
+    monkeypatch.setattr(homology, "_ind_dims", raised)
+    g = cli.parse_graph_text(LINK_FAULT_GRAPH)
+    with pytest.raises(ConsistencyError, match="link bound"):
+        homology._reg_sweep(g.adj, 0)
+    graph = tmp_path / "g.txt"
+    graph.write_text(LINK_FAULT_GRAPH)
+    assert cli.main(["depth", str(graph), "1"]) == 5
+    assert "link bound" in capsys.readouterr().err
 
 
 def test_depth_symbolic_cover_examples():
