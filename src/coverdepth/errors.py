@@ -50,11 +50,10 @@ def guard_override_enabled(environ: dict[str, str] | None = None) -> bool:
     return value in {"1", "true", "yes", "on"}
 
 
-def check_guard(cost: int, limit: int | None, default: int, message: str) -> int:
-    """Return the budget in force (`limit`, or `default` when None), raising
-    :class:`GuardError` with `message` formatted on `cost` and `limit` when
-    `cost` exceeds it."""
+def check_guard(cost: int, limit: int | None, default: int, message: str) -> None:
+    """Raise :class:`GuardError` with `message` formatted on `cost` and the
+    budget in force (`limit`, or `default` when None) when `cost` exceeds
+    that budget."""
     limit = default if limit is None else limit
     if cost > limit:
         raise GuardError(message.format(cost=cost, limit=limit))
-    return limit

@@ -19,6 +19,8 @@ The matching zoo implemented here:
 alpha(G) and the induced matching number are largest cliques, of the
 complement and of the edge-compatibility graph (edges that are disjoint and
 span no cross edge), both found by one branch and bound, :func:`_max_clique`.
+Its one bound is the candidate count: a greedy-colouring bound (Tomita and
+Seki, DMTCS 2003) cost more time than it saved on every input measured.
 
 One branch and bound, `_ordered_search`, yields t, every s-ordered size with
 its certificate, and a largest ordered matching with independent b-side
@@ -151,30 +153,16 @@ def induced_matching_number(g: Graph) -> int:
 
 def _max_clique(compat: Sequence[int]) -> int:
     """Size of a largest clique of the graph with neighbour bitmasks
-    `compat`, by branch and bound (Tomita and Seki, DMTCS 2003). The bound
-    greedily splits the candidates into classes that are independent in
-    `compat`; a clique meets each class at most once, so the class count
-    bounds what the candidates can add."""
+    `compat`, by branch and bound. A node extends its clique by each
+    candidate in turn, lowest first, and stops once the clique, that
+    candidate and the candidates above it add up to no more than the
+    record: neither this branch nor a later one can then beat it."""
     best = 0
-
-    def color_bound(candidates: int) -> int:
-        colors = 0
-        remaining = candidates
-        while remaining:
-            colors += 1
-            available = remaining
-            while available:
-                low = available & -available
-                remaining ^= low
-                available &= ~(low | compat[low.bit_length() - 1])
-        return colors
 
     def expand(candidates: int, size: int) -> None:
         nonlocal best
         if size > best:
             best = size
-        if candidates == 0 or size + color_bound(candidates) <= best:
-            return
         while candidates:
             v = (candidates & -candidates).bit_length() - 1
             candidates &= ~(1 << v)

@@ -323,6 +323,8 @@ def parse_ideal_text(text: str) -> MonomialIdeal:
                 if not m:
                     raise ParseError(f"bad monomial factor {factor!r}")
                 i, p, e = m.groups()
+                if int(i) == 0 or p is not None and int(p) == 0:
+                    raise ParseError(f"variable {factor!r} needs indices >= 1")
                 lab = (int(i), int(p)) if p is not None else int(i)
                 is_layer = p is not None
                 if layered is None:

@@ -487,9 +487,9 @@ class Verifier:
     with `takes_partition` is given every clique partition of the base
     graphs on up to WHISKER_BASE_LIMIT vertices (isolated vertices allowed)
     and needs a partition in single-graph mode; every other entry is given
-    the graphs that `accepts`. The corpus has no isolated vertices; a
-    verifier that rejects them says so in `accepts`, so that a run of all
-    verifiers on one such graph skips it instead of stopping.
+    the graphs that `accepts`, which must reject every graph its verifier
+    raises on (isolated vertices, no edges), so that a run of all verifiers
+    on one graph skips that verifier instead of stopping.
     """
 
     call: Callable[..., VerificationOutcome]
@@ -516,7 +516,10 @@ VERIFIERS: dict[str, Verifier] = {
         lambda g, pi, k_max, f, guard: verify_regind(g, f, guard),
         accepts=_no_isolated,
     ),
-    "regupper": Verifier(lambda g, pi, k_max, f, guard: verify_reg_upper(g, f, guard)),
+    "regupper": Verifier(
+        lambda g, pi, k_max, f, guard: verify_reg_upper(g, f, guard),
+        accepts=lambda g: bool(g.edges),
+    ),
     "bipartite": Verifier(
         lambda g, pi, k_max, f, guard: verify_bipartite(g, k_max, f, guard),
         accepts=lambda g: _no_isolated(g) and is_bipartite(g)[0],

@@ -10,7 +10,9 @@ oracle on exponent tuples, which uses the package's `rank` and
 `BettiTable`), `unfiltered_reg_sweep` (the regularity sweep before its link
 filter, which reads the package's `_ind_dims`) and the polarization
 identity (`layered_cover_ideal`, `check_polarization_identity`), which
-builds both sides from the package's ideal operations.
+builds both sides from the package's ideal operations. One more,
+`face_walk_induced_matching`, reads the induced matching number off the
+package's face walk, for graphs too large for `brute_induced_matching`.
 """
 
 from __future__ import annotations
@@ -72,6 +74,21 @@ def brute_induced_matching(n: int, edges: set[tuple[int, int]]) -> int:
             if span == set(sub):
                 return r
     return best
+
+
+def face_walk_induced_matching(g: Graph) -> int:
+    """Induced matching number of g: one more than the top dimension of the
+    complex on E(g) whose faces are the induced matchings, walked by
+    `homology._faces_by_dim` with every incompatible pair of edges (sharing
+    an end, or joined by an edge of g) as a non-face. It shares no code with
+    the clique search of `graphs.induced_matching_number`."""
+    edges = g.sorted_edges()
+    non_faces = [
+        1 << i | 1 << j
+        for (i, e), (j, f) in itertools.combinations(enumerate(edges), 2)
+        if set(e) & set(f) or any(g.has_edge(u, v) for u in e for v in f)
+    ]
+    return max(homology._faces_by_dim((1 << len(edges)) - 1, non_faces)) + 1
 
 
 def _ordered_ok(

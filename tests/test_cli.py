@@ -158,6 +158,14 @@ def test_ideal_pipeline(files, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("literal", ["(x0)", "(x0 x1)", "(x1_0)", "(x0_1)"])
+def test_ideal_literal_with_index_zero_is_a_parse_error(tmp_path, capsys, literal):
+    path = tmp_path / "ideal.txt"
+    path.write_text(literal + "\n")
+    assert main(["ideal", "polarize", str(path)]) == 2
+    assert "needs indices >= 1" in capsys.readouterr().err
+
+
 def test_ideal_json_round_trip(files, capsys):
     assert main(["ideal", "cover", files["k3"], "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -390,6 +398,18 @@ def test_verify_single_graph(files, capsys):
     assert main(["verify", "all", "--graph", str(iso), "--partition", str(pi)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines[:-1]] == ["whisker", "regupper"]
+
+
+def test_verify_all_single_graph_skips_an_edgeless_graph(files, capsys):
+    """Every verifier's `accepts` covers its preconditions, so `verify all`
+    on an edgeless graph runs none of them and exits 0 with an empty
+    report, while asking for `regupper` by name is still a usage error."""
+    empty = files["dir"] / "empty.txt"
+    empty.write_text("n 2\n")
+    assert main(["verify", "all", "--graph", str(empty), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == []
+    assert main(["verify", "regupper", "--graph", str(empty)]) == 2
+    assert "needs a graph with at least one edge" in capsys.readouterr().err
 
 
 def test_verify_whisker_single(files, capsys):

@@ -40,12 +40,14 @@ from coverdepth.graphs import (
     s_ordered_matching_number,
     whisker,
 )
+from coverdepth.layered import as_plain_graph, build_gk
 
 from _oracles import (
     brute_alpha,
     brute_induced_matching,
     brute_ordered_matching,
     brute_smallest_mask,
+    face_walk_induced_matching,
     unpruned_ordered_profile,
 )
 
@@ -140,16 +142,15 @@ def test_induced_matching_frozen():
 
 
 def test_induced_matching_seven_vertex_regression():
-    # {1,7}, {2,6}, {3,4}: a colour bound whose classes were cliques of the
-    # compatibility graph undercounted them and pruned this optimum
+    # {1,7}, {2,6}, {3,4}: a clique-search bound that undercounts what the
+    # candidates can add prunes this optimum
     assert induced_matching_number(graph(7, [(1, 5), (1, 7), (2, 5), (2, 6), (3, 4)])) == 3
 
 
 def test_clique_searches_match_oracles_on_seeded_larger_graphs():
     """alpha and ind-match against the brute oracles on 200 seeded random
     graphs on 7-8 vertices (edge probability 0.3), beyond the exhaustive
-    check on <= 5 vertices. A colour bound built from compatible edges
-    instead of incompatible ones gets four of them wrong."""
+    check on <= 5 vertices."""
     rng = random.Random(0)
     for _ in range(200):
         n = rng.choice((7, 8))
@@ -157,6 +158,40 @@ def test_clique_searches_match_oracles_on_seeded_larger_graphs():
         edges = set(g.edges)
         assert independence_number(g) == brute_alpha(n, edges), g
         assert induced_matching_number(g) == brute_induced_matching(n, edges), g
+
+
+def _small_gk() -> list[Graph]:
+    """G_k, k = 1..3, of every isolated-free class on <= 5 vertices, as
+    plain graphs on up to 15 vertices: 99 graphs."""
+    classes = [g for g in graphs.isomorphism_classes(5) if all(g.adj)]
+    return [as_plain_graph(build_gk(g, k))[0] for g in classes for k in (1, 2, 3)]
+
+
+def _induced_matching_mismatches(gs: list[Graph]) -> list[Graph]:
+    return [g for g in gs if induced_matching_number(g) != face_walk_induced_matching(g)]
+
+
+def test_induced_matching_matches_face_walk_on_layered_graphs():
+    """The clique search against the face-walk reference on 99 G_k, graphs
+    like those `verify_regind` searches and too large for the brute
+    oracle."""
+    gs = _small_gk()
+    assert len(gs) == 99
+    assert _induced_matching_mismatches(gs) == []
+
+
+def test_clique_size_bound_fault_is_seen(monkeypatch):
+    """A size bound one too tight (the candidate itself not counted) makes
+    the face-walk comparison report mismatches. The fault is patched into a
+    copy of the search's source, so the search itself calls no test hook."""
+    source = textwrap.dedent(inspect.getsource(graphs._max_clique))
+    line = "size + 1 + candidates.bit_count() <= best"
+    assert source.count(line) == 1
+    source = source.replace(line, "size + candidates.bit_count() <= best")
+    namespace = dict(vars(graphs))
+    exec(compile(source, graphs.__file__, "exec"), namespace)
+    monkeypatch.setattr(graphs, "_max_clique", namespace["_max_clique"])
+    assert _induced_matching_mismatches(_small_gk())
 
 
 # ---------------------------------------------------------------------------

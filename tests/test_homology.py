@@ -544,6 +544,27 @@ def test_reg_edge_ideal_examples():
     assert reg_edge_ideal(THREE_K2) == 4
 
 
+def test_component_join_keeps_disconnected_inputs_small(monkeypatch):
+    """reg(I(9K2)) = 10 on 18 vertices, at the vertex guard. The component
+    join splits every swept subset into its edges, so no face walk sees
+    more than two vertices; walking the whole complex instead takes
+    seconds already at 7K2. The memo starts empty, so the walk runs; a
+    larger walk fails at once instead of running for minutes."""
+    walked = []
+    faces_by_dim = homology._faces_by_dim
+
+    def recording(vertices, non_faces):
+        walked.append(vertices.bit_count())
+        assert walked[-1] <= 2, f"face walk on {walked[-1]} vertices"
+        return faces_by_dim(vertices, non_faces)
+
+    monkeypatch.setattr(homology, "_faces_by_dim", recording)
+    monkeypatch.setattr(homology, "_COMPONENT_DIMS", {})
+    nine_k2 = Graph(18, tuple((2 * i + 1, 2 * i + 2) for i in range(9)))
+    assert reg_edge_ideal(nine_k2) == 10
+    assert walked
+
+
 def test_reg_edge_ideal_errors():
     with pytest.raises(InputError):
         reg_edge_ideal(Graph(3, ()))

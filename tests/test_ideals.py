@@ -231,6 +231,10 @@ def test_parse_errors():
         parse_ideal_text("(x1 x1_2)")
     with pytest.raises(ParseError):
         parse_ideal_text("(1)")
+    # variables are numbered from 1, and so are layers
+    for literal in ("(x0)", "(x0 x1)", "(x1_0)", "(x0_1)"):
+        with pytest.raises(ParseError, match="needs indices >= 1"):
+            parse_ideal_text(literal)
 
 
 def test_json_round_trip():
