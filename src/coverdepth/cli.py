@@ -43,11 +43,13 @@ from .homology import F2, RATIONALS, FieldChoice, depth_symbolic_cover
 from .ideals import (
     MonomialIdeal,
     alexander_dual,
+    base_ring,
     cover_ideal,
     edge_ideal,
     format_ideal_text,
     ideal_to_json,
     intersect,
+    layered_ring,
     parse_ideal_text,
     polarize,
     power,
@@ -138,6 +140,19 @@ def _load_ideal(path: str) -> MonomialIdeal:
     return parse_ideal_text(_read_file(path))
 
 
+def _intersect_files(path_a: str, path_b: str) -> MonomialIdeal:
+    """Intersection of two ideal files, both read over the smallest ring
+    that holds the labels of either, since a literal alone infers its ring
+    from its own labels; `intersect` rejects a base and a layered one."""
+    texts = [_read_file(path) for path in (path_a, path_b)]
+    a, b = (parse_ideal_text(text) for text in texts)
+    if a.ring.is_layered == b.ring.is_layered:
+        labels = {*a.ring.labels, *b.ring.labels}
+        ring = layered_ring(labels) if a.ring.is_layered else base_ring(max(labels))
+        a, b = (parse_ideal_text(text, ring) for text in texts)
+    return intersect(a, b)
+
+
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -206,8 +221,7 @@ IDEAL_OPS = {
     "pow": (("ideal", "k"), lambda ideal, k: power(_load_ideal(ideal), k)),
     "polarize": (("ideal",), lambda ideal: polarize(_load_ideal(ideal))),
     "dual": (("ideal",), lambda ideal: alexander_dual(_load_ideal(ideal))),
-    "intersect": (("ideal_a", "ideal_b"),
-                  lambda a, b: intersect(_load_ideal(a), _load_ideal(b))),
+    "intersect": (("ideal_a", "ideal_b"), _intersect_files),
 }
 
 

@@ -43,10 +43,10 @@ class ConsistencyError(ToolkitError):
     """Two independent computation routes disagreed: an internal bug."""
 
 
-def guard_override_enabled(environ: dict[str, str] | None = None) -> bool:
-    """Return True when the guard-override environment variable is truthy."""
-    env = os.environ if environ is None else environ
-    value = env.get(GUARD_OVERRIDE_ENV, "").strip().lower()
+def guard_override_enabled() -> bool:
+    """Whether the guard-override environment variable of this process is
+    truthy."""
+    value = os.environ.get(GUARD_OVERRIDE_ENV, "").strip().lower()
     return value in {"1", "true", "yes", "on"}
 
 

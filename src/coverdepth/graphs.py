@@ -81,11 +81,6 @@ class Graph:
     def vertices(self) -> range:
         return range(1, self.n + 1)
 
-    def degree(self, v: int) -> int:
-        if not 1 <= v <= self.n:
-            raise InputError(f"vertex {v} out of range")
-        return self.adj[v - 1].bit_count()
-
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
 
@@ -357,10 +352,10 @@ def whisker(g: Graph, partition: Sequence[Iterable[int]]) -> Graph:
     return Graph(g.n + len(blocks), frozenset(new_edges))
 
 
-def is_bipartite(g: Graph) -> tuple[bool, dict[int, int] | None]:
-    """Two-color by BFS layers; returns (True, coloring) or (False, None).
-    A vertex's color is the parity of its distance from the smallest vertex
-    of its component; bipartite iff no edge joins equal parities."""
+def is_bipartite(g: Graph) -> bool:
+    """Whether g is bipartite: split each component into BFS layers of even
+    and odd distance from its smallest vertex, and look for an edge inside
+    one side."""
     sides = [0, 0]
     seen = 0
     for start in range(g.n):
@@ -375,9 +370,7 @@ def is_bipartite(g: Graph) -> tuple[bool, dict[int, int] | None]:
                 grown |= g.adj[v]
             frontier = grown & ~seen
             parity ^= 1
-    if any(g.adj[v] & side for side in sides for v in iter_bits(side)):
-        return False, None
-    return True, {v + 1: 0 if sides[0] >> v & 1 else 1 for v in range(g.n)}
+    return not any(g.adj[v] & side for side in sides for v in iter_bits(side))
 
 
 def all_pairs(n: int) -> list[Edge]:
@@ -390,14 +383,12 @@ def _mask_graph(n: int, pairs: Sequence[Edge], mask: int) -> Graph:
     return Graph(n, frozenset(pairs[i] for i in iter_bits(mask)))
 
 
-def enumerate_graphs(
-    n: int, *, no_isolated: bool = False, guard: int | None = None
-) -> Iterator[Graph]:
-    """All labeled graphs on 1..n in edge-bitmask order, optionally only
-    those without isolated vertices."""
+def enumerate_graphs(n: int, *, no_isolated: bool = False) -> Iterator[Graph]:
+    """All labeled graphs on 1..n (n within the enumeration guard) in
+    edge-bitmask order, optionally only those without isolated vertices."""
     if n < 1:
         raise InputError("n must be >= 1")
-    check_guard(n, guard, DEFAULT_ENUM_GUARD,
+    check_guard(n, None, DEFAULT_ENUM_GUARD,
                 "enumeration of {cost}-vertex graphs exceeds guard {limit}")
     pairs = all_pairs(n)
     for mask in range(1 << len(pairs)):

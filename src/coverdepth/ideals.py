@@ -258,23 +258,6 @@ def alexander_dual(ideal: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal(ideal.ring, frozenset(gens))
 
 
-def as_label_dict(ring: Ring, mono: Monomial) -> frozenset:
-    return frozenset(
-        (lab, e) for lab, e in zip(ring.labels, mono) if e > 0
-    )
-
-
-def equal(a: MonomialIdeal, b: MonomialIdeal) -> bool:
-    """Ideal equality; ideals in different rings are compared through the
-    variable-label bijection (ambient variables that appear in no generator
-    are immaterial)."""
-    if a.ring == b.ring:
-        return a.gens == b.gens
-    da = {as_label_dict(a.ring, g) for g in a.gens}
-    db = {as_label_dict(b.ring, g) for g in b.gens}
-    return da == db
-
-
 # ---------------------------------------------------------------------------
 # text and JSON forms
 # ---------------------------------------------------------------------------
@@ -300,9 +283,10 @@ def format_ideal_text(ideal: MonomialIdeal) -> str:
     return "(" + ", ".join(format_monomial(ideal.ring, g) for g in ideal.sorted_gens()) + ")"
 
 
-def parse_ideal_text(text: str) -> MonomialIdeal:
-    """Parse the canonical text form; the variable space is inferred from the
-    labels that appear (base x3, layered x3_2)."""
+def parse_ideal_text(text: str, ring: Ring | None = None) -> MonomialIdeal:
+    """Parse the canonical text form over `ring`, by default the space its
+    labels infer (x1..x3 from base x3; the labels themselves if layered, as
+    x3_2). Indices, layers and exponents are at least 1."""
     body = text.strip()
     if not (body.startswith("(") and body.endswith(")")):
         raise ParseError("ideal literal must be wrapped in parentheses")
@@ -331,7 +315,9 @@ def parse_ideal_text(text: str) -> MonomialIdeal:
                     layered = is_layer
                 elif layered != is_layer:
                     raise ParseError("cannot mix base and layered variables")
-                exp = int(e) if e is not None else 1
+                exp = int(e or 1)
+                if exp == 0:
+                    raise ParseError(f"factor {factor!r} needs an exponent >= 1")
                 if lab in factors:
                     raise ParseError(f"repeated variable in {term!r}")
                 factors[lab] = exp
@@ -339,10 +325,8 @@ def parse_ideal_text(text: str) -> MonomialIdeal:
         parsed.append(factors)
     if not labels:
         raise ParseError("unit ideal literal has no variable space to infer")
-    if layered:
-        ring = layered_ring(labels)
-    else:
-        ring = base_ring(max(labels))
+    if ring is None:
+        ring = layered_ring(labels) if layered else base_ring(max(labels))
     gens = []
     for factors in parsed:
         exps = [0] * ring.num_vars

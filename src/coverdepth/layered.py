@@ -141,8 +141,7 @@ def proof_matching_bipartite(g: Graph, cert, k: int) -> list[LayeredEdge]:
     substitution itself is performed for any valid ordered certificate, of
     maximum size or not.
     """
-    ok, _ = is_bipartite(g)
-    if not ok:
+    if not is_bipartite(g):
         raise InputError("graph must be bipartite")
     t = len(cert)
     if not is_ordered_matching(g, cert):

@@ -43,7 +43,7 @@ from .graphs import (
     whisker,
 )
 from .homology import RATIONALS, FieldChoice
-from .ideals import cover_ideal, equal, power, symbolic_power_cover
+from .ideals import cover_ideal, power, symbolic_power_cover
 from .layered import (
     as_plain_graph,
     build_gk,
@@ -352,8 +352,7 @@ def verify_bipartite(
     k <= k_max, and the depth already sits at its limit n - t - 1 for every
     k from t = ord-match(g) on (so the powers, symbolic or not, stabilize
     no later than t)."""
-    bip, _coloring = is_bipartite(g)
-    if not bip:
+    if not is_bipartite(g):
         raise InputError("graph must be bipartite")
     _require_no_isolated(g)
     if k_max < 1:
@@ -364,7 +363,7 @@ def verify_bipartite(
     powers_equal = {}
     failures = {}
     for k in range(1, k_max + 1):
-        same = equal(symbolic_power_cover(g, k), power(j, k))
+        same = symbolic_power_cover(g, k) == power(j, k)
         powers_equal[k] = same
         if not same:
             failures[f"symbolic vs ordinary at k={k}"] = {"equal": False}
@@ -422,8 +421,7 @@ def verify_proof_matchings(
             "stable order parameter is 1",
         }
 
-    bip, _coloring = is_bipartite(g)
-    if bip:
+    if is_bipartite(g):
         size_b, cert_b = profile.b_independent
         if cert_b is None or size_b < t:
             details["bipartite"] = {
@@ -522,7 +520,7 @@ VERIFIERS: dict[str, Verifier] = {
     ),
     "bipartite": Verifier(
         lambda g, pi, k_max, f, guard: verify_bipartite(g, k_max, f, guard),
-        accepts=lambda g: _no_isolated(g) and is_bipartite(g)[0],
+        accepts=lambda g: _no_isolated(g) and is_bipartite(g),
     ),
     "proofmatch": Verifier(
         lambda g, pi, k_max, f, guard: verify_proof_matchings(g, f),

@@ -172,7 +172,7 @@ def test_acceptance_06_bipartite_powers(graph_classes: dict[int, list[Graph]]) -
         g
         for n in range(2, 7)
         for g in graph_classes[n]
-        if all(g.adj) and is_bipartite(g)[0]
+        if all(g.adj) and is_bipartite(g)
     ]
     assert len(graphs) == 34
     outcomes = [verify_bipartite(g, 3) for g in graphs]

@@ -166,6 +166,39 @@ def test_ideal_literal_with_index_zero_is_a_parse_error(tmp_path, capsys, litera
     assert "needs indices >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("op", ["pow", "polarize"])
+@pytest.mark.parametrize("literal", ["(x1^0)", "(x1 x2^0)", "(x1^00)", "(x1_1^0)"])
+def test_ideal_literal_with_exponent_zero_is_a_parse_error(tmp_path, capsys, op, literal):
+    """`(x1^0)` is not read as the unit ideal, nor `(x1 x2^0)` as `(x1)`."""
+    path = tmp_path / "ideal.txt"
+    path.write_text(literal + "\n")
+    assert main(["ideal", op, str(path), *(["2"] if op == "pow" else [])]) == 2
+    captured = capsys.readouterr()
+    assert "needs an exponent >= 1" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    ("a", "b", "want"),
+    [("(x1)", "(x2)", "(x1 x2)"),
+     ("(x2)", "(x1^2, x3)", "(x2 x3, x1^2 x2)"),
+     ("(x1_1)", "(x2_1)", "(x1_1 x2_1)"),
+     ("(x1_2)", "(x1_1, x2_1)", "(x1_1 x1_2, x1_2 x2_1)")],
+)
+def test_ideal_intersect_reads_both_literals_in_one_ring(tmp_path, capsys, a, b, want):
+    """Each literal alone would infer its own ring from its labels."""
+    (tmp_path / "a.txt").write_text(a + "\n")
+    (tmp_path / "b.txt").write_text(b + "\n")
+    assert main(["ideal", "intersect", str(tmp_path / "a.txt"), str(tmp_path / "b.txt")]) == 0
+    assert capsys.readouterr().out == want + "\n"
+
+
+def test_ideal_intersect_rejects_base_with_layered(tmp_path, capsys):
+    (tmp_path / "a.txt").write_text("(x1)\n")
+    (tmp_path / "b.txt").write_text("(x1_1)\n")
+    assert main(["ideal", "intersect", str(tmp_path / "a.txt"), str(tmp_path / "b.txt")]) == 4
+    assert "ideals live in different rings" in capsys.readouterr().err
+
+
 def test_ideal_json_round_trip(files, capsys):
     assert main(["ideal", "cover", files["k3"], "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)

@@ -18,7 +18,6 @@ from coverdepth.ideals import (
     base_ring,
     cover_ideal,
     edge_ideal,
-    equal,
     format_ideal_text,
     ideal_to_json,
     intersect,
@@ -85,6 +84,9 @@ def test_intersect_frozen():
     a = monomial_ideal(r, [(1, 0)])
     b = monomial_ideal(r, [(0, 2), (1, 1)])
     assert intersect(a, b).gens == frozenset({(1, 1)})
+    # library callers give both ideals one ring
+    with pytest.raises(InputError, match="different rings"):
+        intersect(a, monomial_ideal(base_ring(3), [(0, 0, 1)]))
 
 
 def test_power_frozen():
@@ -123,7 +125,7 @@ def test_cover_is_intersection_of_edge_primes():
         monomial_ideal(r, [(1, 0, 0), (0, 1, 0)]),
         monomial_ideal(r, [(0, 1, 0), (0, 0, 1)]),
     )
-    assert equal(cover_ideal(P3()), expected)
+    assert cover_ideal(P3()) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +156,7 @@ def test_symbolic_power_routes_agree():
 def test_symbolic_equals_ordinary_for_prime():
     # J(K2) = (x1, x2) is prime, so symbolic and ordinary powers agree
     k2 = graph(2, [(1, 2)])
-    assert equal(symbolic_power_cover(k2, 3), power(cover_ideal(k2), 3))
+    assert symbolic_power_cover(k2, 3) == power(cover_ideal(k2), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -186,20 +188,13 @@ def test_polarize_rejects_layered():
 
 def test_alexander_dual_edge_cover():
     for g in (P3(), P4(), K3()):
-        assert equal(alexander_dual(edge_ideal(g)), cover_ideal(g))
-        assert equal(alexander_dual(cover_ideal(g)), edge_ideal(g))
+        assert alexander_dual(edge_ideal(g)) == cover_ideal(g)
+        assert alexander_dual(cover_ideal(g)) == edge_ideal(g)
 
 
 def test_alexander_dual_requires_squarefree():
     with pytest.raises(InputError):
         alexander_dual(monomial_ideal(base_ring(2), [(2, 0)]))
-
-
-def test_equal_across_rings():
-    small = monomial_ideal(base_ring(2), [(0, 1)])
-    large = monomial_ideal(base_ring(3), [(0, 1, 0)])
-    assert equal(small, large)
-    assert not equal(small, monomial_ideal(base_ring(3), [(0, 0, 1)]))
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +214,7 @@ def test_text_round_trip():
         polarize(symbolic_power_cover(P3(), 2)),
     ):
         back = parse_ideal_text(format_ideal_text(ideal))
-        assert equal(back, ideal)
+        assert back == ideal
 
 
 def test_parse_errors():
@@ -235,6 +230,11 @@ def test_parse_errors():
     for literal in ("(x0)", "(x0 x1)", "(x1_0)", "(x0_1)"):
         with pytest.raises(ParseError, match="needs indices >= 1"):
             parse_ideal_text(literal)
+    # and exponents are at least 1: x^0 would be the unit or drop a variable
+    for literal in ("(x1^0)", "(x1 x2^0)", "(x1^00)", "(x1_1^0)", "(x1_1, x2_1^00)"):
+        with pytest.raises(ParseError, match="needs an exponent >= 1"):
+            parse_ideal_text(literal)
+    assert parse_ideal_text("(x1^01)") == parse_ideal_text("(x1)")
 
 
 def test_json_round_trip():
@@ -301,7 +301,7 @@ def test_dual_involution(data):
     )
     if squarefree.is_zero or squarefree.is_unit:
         return
-    assert equal(alexander_dual(alexander_dual(squarefree)), squarefree)
+    assert alexander_dual(alexander_dual(squarefree)) == squarefree
 
 
 def test_symbolic_power_cover_matches_oracle():

@@ -1,11 +1,11 @@
 """Package layout: every top-level function and class in `src/coverdepth`
-has a caller in the program itself, so library code that only tests call
-does not build up in `src/`.
+has a caller in the program itself, so library code that only tests or the
+benchmark call does not build up in `src/`.
 
 A name counts as referenced when it appears, outside its own definition, in
-`src/coverdepth/*.py` or `bench/*.py` as a variable name, an attribute, or a
-string constant (the tracer looks its layer functions up by name).
-Docstrings do not count.
+`src/coverdepth/*.py` as a variable name or an attribute. String constants
+do not count, and neither does `bench/`: a name that only the benchmark
+runs stays in `src/` only through `BENCH_ONLY`, with its reason.
 
 The same scan checks that the Taylor Betti oracle stays independent of the
 Hochster engine it cross-checks, and that verification outcomes are built
@@ -18,14 +18,95 @@ import ast
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "coverdepth").glob("*.py"))
-BENCH = sorted((ROOT / "bench").glob("*.py"))
 
-# Names a test checks directly that have no caller in the program, with why
-# they stay in `src/`. Empty: a check only tests run lives in the tests
-# (`tests/_oracles.py`).
-TEST_CHECKED: dict[str, str] = {}
+# Definitions with no caller in `src/` that stay because the benchmark runs
+# them, with why. `bench/tracer.py` looks each name in its `LAYER_FUNCTIONS`
+# up and fails on a missing one.
+BENCH_ONLY: dict[str, str] = {
+    "graphs.s_ordered_matching_number": "a span in bench/tracer.py's LAYER_FUNCTIONS",
+    "graphs.enumerate_graphs": "a span in bench/tracer.py's LAYER_FUNCTIONS",
+    "graphs.isomorphism_representatives": "a span in bench/tracer.py's LAYER_FUNCTIONS",
+    "homology.betti_table_squarefree": "the betti_generic workload's Betti tables",
+    "homology.taylor_betti_oracle": "the betti_generic workload's cross-check",
+    "homology.reg_edge_ideal": "the regsweep6 workload's regularity",
+}
+
+
+def _names(node: ast.AST) -> Counter[str]:
+    """Variable names and attributes under `node`."""
+    out: Counter[str] = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            out[sub.attr] += 1
+    return out
+
+
+def _source_trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text()) for path in SRC}
+
+
+def _unreferenced(trees: dict[str, ast.Module]) -> set[str]:
+    """`module.name` of each top-level definition in `trees` that no name
+    or attribute outside the definition itself refers to."""
+    total: Counter[str] = Counter()
+    definitions = []
+    for module, tree in trees.items():
+        total += _names(tree)
+        definitions += [(module, node, _names(node)) for node in tree.body
+                        if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    return {f"{module}.{node.name}" for module, node, inside in definitions
+            if total[node.name] == inside[node.name]}
+
+
+def _check_callers(trees: dict[str, ast.Module]) -> None:
+    unreferenced = _unreferenced(trees)
+    missing = sorted(unreferenced - BENCH_ONLY.keys())
+    assert missing == [], f"nothing in src/ calls {missing}; delete them or call them"
+    called = sorted(BENCH_ONLY.keys() - unreferenced)
+    assert called == [], f"src/ now calls {called}; drop them from BENCH_ONLY"
+
+
+def test_every_library_definition_has_a_caller_in_the_program():
+    assert SRC and all(BENCH_ONLY.values())
+    _check_callers(_source_trees())
+
+
+def _plant(trees: dict[str, ast.Module], module: str, source: str) -> None:
+    trees[module].body += ast.parse(source).body
+
+
+def test_the_caller_scan_counts_only_names_in_src():
+    # a definition named only by a string constant in src/ is flagged
+    trees = _source_trees()
+    _plant(trees, "cli", "def _orphan():\n    pass\nLOOKUP = '_orphan'")
+    assert "cli._orphan" in _unreferenced(trees)
+    with pytest.raises(AssertionError):
+        _check_callers(trees)
+    # the benchmark calls reg_edge_ideal, and the scan still flags it
+    workloads = ast.parse((ROOT / "bench" / "workloads.py").read_text())
+    assert _names(workloads)["reg_edge_ideal"] > 0
+    assert "homology.reg_edge_ideal" in _unreferenced(_source_trees())
+    # a BENCH_ONLY name that gains a caller in src/ fails the test
+    for name in BENCH_ONLY:
+        module, function = name.split(".")
+        trees = _source_trees()
+        _plant(trees, "cli", f"HELD = {module}.{function}")
+        assert name not in _unreferenced(trees)
+        with pytest.raises(AssertionError):
+            _check_callers(trees)
+
+
+# The Hochster engine that `homology.taylor_betti_oracle` cross-checks. The
+# oracle shares only `rank` with it, so a fault in any of these cannot make
+# both sides agree on a wrong table.
+ENGINE = {"_faces_by_dim", "_dims_from_faces", "_ind_dims", "_component_dims",
+          "_adjacency", "betti_table_squarefree", "polarize", "alexander_dual"}
 
 
 def _docstrings(tree: ast.Module) -> set[int]:
@@ -42,51 +123,14 @@ def _docstrings(tree: ast.Module) -> set[int]:
 
 def _references(node: ast.AST, docs: set[int]) -> Counter[str]:
     """Names, attributes and string constants under `node`, docstrings
-    (the constants whose ids are in `docs`) left out."""
-    out: Counter[str] = Counter()
+    (the constants whose ids are in `docs`) left out: a string could look
+    an engine function up by name."""
+    out = _names(node)
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            out[sub.id] += 1
-        elif isinstance(sub, ast.Attribute):
-            out[sub.attr] += 1
-        elif (isinstance(sub, ast.Constant) and isinstance(sub.value, str)
-              and id(sub) not in docs):
+        if (isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+                and id(sub) not in docs):
             out[sub.value] += 1
     return out
-
-
-def _unreferenced() -> list[str]:
-    """`module.name` of each top-level definition in `src/coverdepth` that
-    nothing outside the definition itself refers to."""
-    total: Counter[str] = Counter()
-    definitions = []
-    for path in SRC + BENCH:
-        tree = ast.parse(path.read_text())
-        docs = _docstrings(tree)
-        total += _references(tree, docs)
-        if path in SRC:
-            definitions += [
-                (path.stem, node, _references(node, docs)) for node in tree.body
-                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            ]
-    return [f"{module}.{node.name}" for module, node, inside in definitions
-            if total[node.name] == inside[node.name]]
-
-
-def test_every_library_definition_has_a_caller_in_the_program():
-    assert SRC and BENCH
-    unreferenced = _unreferenced()
-    missing = [name for name in unreferenced if name not in TEST_CHECKED]
-    assert missing == [], f"only tests call {missing}; delete them or call them"
-    # an exemption goes once its name gains a caller
-    assert sorted(unreferenced) == sorted(TEST_CHECKED)
-
-
-# The Hochster engine that `homology.taylor_betti_oracle` cross-checks. The
-# oracle shares only `rank` with it, so a fault in any of these cannot make
-# both sides agree on a wrong table.
-ENGINE = {"_faces_by_dim", "_dims_from_faces", "_ind_dims", "_component_dims",
-          "_adjacency", "betti_table_squarefree", "polarize", "alexander_dual"}
 
 
 def _engine_names(oracle: ast.FunctionDef, tree: ast.Module) -> set[str]:
@@ -141,10 +185,6 @@ def _callers(trees: dict[str, ast.Module]) -> dict[str, set[str]]:
                     if name in found:
                         found[name].add(owner)
     return found
-
-
-def _source_trees() -> dict[str, ast.Module]:
-    return {path.stem: ast.parse(path.read_text()) for path in SRC}
 
 
 def test_one_outcome_builder_and_one_dispatcher():
