@@ -5,7 +5,8 @@ reports out.
 Each command takes only the flags its handler reads. Every command takes
 --format (text or json) and --output; `depth` and `verify` add --field and
 --hochster-guard; `verify` adds --max-k, --jobs, --graph, --max-vertices
-(corpus runs only), --partition (with --graph only), and the csv format.
+(corpus runs only), --partition (with --graph, for whisker or all only),
+and the csv format.
 Any other flag, or a mode's flag in the other mode, is a usage error.
 
 Exit codes: 0 success; 1 verification found failures; 2 unparseable or
@@ -283,10 +284,12 @@ def _verify_single(args, field: FieldChoice, theorems) -> list:
     items = []
     for tid in theorems:
         spec = VERIFIERS[tid]
-        if args.theorem == "all" and not spec.applies(g, partition):
-            continue
-        if spec.takes_partition and partition is None:
-            raise InputError(f"verify {tid} needs --partition")
+        if args.theorem == "all":
+            if not spec.applies(g, partition):
+                continue
+        elif spec.takes_partition != (partition is not None):
+            need = "needs" if spec.takes_partition else "takes no"
+            raise InputError(f"verify {tid} {need} --partition")
         items.append((tid, g, partition, args.max_k, field, args.hochster_guard))
     return run_items(items, args.jobs)
 

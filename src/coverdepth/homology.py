@@ -56,13 +56,13 @@ results:
   bitmasks, relabelled 0..m-1 in increasing vertex order; the key is exact,
   so equal keys are equal labelled graphs;
 * `betti_table_squarefree` evaluates Hochster's subset sum by one of three
-  branches, tried in this order: a quadric Alexander dual (cover ideals)
-  turns it, by duality, into a sweep over the independent sets of the dual
-  graph; a quadric ideal (edge ideals) makes each restricted complex the
-  independence complex of an induced subgraph (Hochster's formula for edge
-  ideals); only the remaining ideals enumerate faces and build boundary
-  matrices, skipping subsets whose restricted complex is a cone. The first
-  two branches go through the fold, join and memo above.
+  branches, tried in this order: a quadric ideal (edge ideals) makes each
+  restricted complex the independence complex of an induced subgraph
+  (Hochster's formula for edge ideals); a quadric Alexander dual (cover
+  ideals) turns it, by duality, into a sweep over the independent sets of
+  the dual graph; only the remaining ideals enumerate faces and build
+  boundary matrices, skipping subsets whose restricted complex is a cone.
+  The first two branches go through the fold, join and memo above.
 """
 
 from __future__ import annotations
@@ -347,18 +347,19 @@ def betti_table_squarefree(
 ) -> BettiTable:
     """Betti table of the quotient by a squarefree ideal: homology of the
     restricted Stanley-Reisner complexes, summed over vertex subsets
-    (Hochster's formula). Three branches evaluate that one sum:
+    (Hochster's formula). Three branches, tried in order, evaluate it:
 
-    * quadric dual: when every generator of the Alexander dual is a
-      quadric, the sum is reorganized through duality into a sweep over
-      independent sets W of the dual graph H, each contributing homology of
-      the independence complex of H minus the closed neighborhood of W in
-      degree i-2; it never enumerates subsets with vanishing contributions;
     * quadric ideal: when every generator is a quadric, the ideal is the
       edge ideal of a graph G on the active variables and the restricted
       complex on a subset is the independence complex of the induced
       subgraph, so beta_{i,j} sums dim H~_{j-i-1}(Ind(G[sigma])) over
       subsets sigma of size j;
+    * quadric dual: otherwise, when every generator of the Alexander dual
+      is a quadric, the sum is reorganized through duality into a sweep
+      over independent sets W of the dual graph H, each contributing
+      homology of the independence complex of H minus the closed
+      neighborhood of W in degree i-2; it never enumerates subsets with
+      vanishing contributions;
     * generic: faces of every restricted complex are enumerated and its
       homology read off boundary-matrix ranks; subsets whose complex is a
       cone are skipped.
@@ -367,18 +368,23 @@ def betti_table_squarefree(
     """
     if not is_squarefree(ideal):
         raise InputError("Betti table via complexes needs a squarefree ideal")
-    if ideal.is_unit:
-        raise InputError("the unit ideal is not a quotient ring input")
     sweep = sorted({i for m in ideal.gens for i in support(m)})
     check_guard(len(sweep), guard, DEFAULT_HOCHSTER_GUARD,
                 "{cost} active variables exceed guard {limit}")
     counts: dict[tuple[int, int], int] = defaultdict(int)
     counts[(0, 0)] = 1
-    if not ideal.gens:
-        return _betti_from_counts(ideal.ring.num_vars, counts)
-
     bit = {v: 1 << i for i, v in enumerate(sweep)}
     n, full = len(sweep), (1 << len(sweep)) - 1
+    gens = [sum(bit[v] for v in support(m)) for m in ideal.sorted_gens()]
+    if all(s.bit_count() == 2 for s in gens):
+        # edge ideal: each restricted complex is the independence complex of
+        # the induced subgraph on that subset (Hochster's formula)
+        adj = _adjacency(gens, n)
+        for mask in range(1, 1 << n):
+            for d, c in _ind_dims(adj, mask, f.char).items():
+                counts[_hochster_position(mask.bit_count(), d)] += c
+        return _betti_from_counts(ideal.ring.num_vars, counts)
+
     dual = [sum(bit[v] for v in support(m)) for m in alexander_dual(ideal).sorted_gens()]
     if all(s.bit_count() == 2 for s in dual):
         adj_t = _adjacency(dual, n)
@@ -395,16 +401,6 @@ def betti_table_squarefree(
             # of the restricted complex, i.e. _hochster_position(j, j-d-3)
             for d, c in _ind_dims(adj_t, rest, f.char).items():
                 counts[_hochster_position(j, j - d - 3)] += c
-        return _betti_from_counts(ideal.ring.num_vars, counts)
-
-    gens = [sum(bit[v] for v in support(m)) for m in ideal.sorted_gens()]
-    if all(s.bit_count() == 2 for s in gens):
-        # edge ideal: each restricted complex is the independence complex of
-        # the induced subgraph on that subset (Hochster's formula)
-        adj = _adjacency(gens, n)
-        for mask in range(1, 1 << n):
-            for d, c in _ind_dims(adj, mask, f.char).items():
-                counts[_hochster_position(mask.bit_count(), d)] += c
         return _betti_from_counts(ideal.ring.num_vars, counts)
 
     # generic subset sweep with cone pruning
@@ -458,8 +454,6 @@ def taylor_betti_oracle(
     `BettiTable` it returns: no face walk, fold, memo, polarization or
     Alexander duality.
     """
-    if ideal.is_unit:
-        raise InputError("the unit ideal is not a quotient ring input")
     gens = ideal.sorted_gens()
     check_guard(len(gens), guard, DEFAULT_TAYLOR_GUARD,
                 "{cost} generators exceed the guard {limit}")

@@ -3,7 +3,8 @@
 A ring is a tuple of variable labels; a label is either an integer i
 (base variable x_i) or a pair (i, p) (layered variable x_{i,p}, layer p of
 base variable i). Monomials are exponent tuples aligned with the ring's
-label order; an ideal stores its inclusion-minimal generators only.
+label order; an ideal stores its inclusion-minimal generators only. Every
+ideal is nonzero and proper, as are all those the verified statements name.
 
 Operations: intersection (pairwise lcm), ordinary power, the cover/edge
 ideals of a graph and the symbolic powers of the cover ideal, polarization
@@ -80,23 +81,19 @@ def var_name(label) -> str:
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """A monomial ideal, stored by its minimal generators."""
+    """A nonzero proper monomial ideal, stored by its minimal generators."""
 
     ring: Ring
     gens: frozenset[Monomial]
 
     def __post_init__(self) -> None:
+        if not self.gens:
+            raise InputError("the zero ideal (no generators) is not supported")
         for g in self.gens:
             if len(g) != self.ring.num_vars or any(e < 0 for e in g):
                 raise InputError(f"bad exponent tuple {g!r}")
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.gens
-
-    @property
-    def is_unit(self) -> bool:
-        return tuple([0] * self.ring.num_vars) in self.gens
+            if not any(g):
+                raise InputError("the unit ideal (generator 1) is not supported")
 
     def sorted_gens(self) -> list[Monomial]:
         """Generators sorted by (total degree, exponent vector descending)."""
@@ -141,13 +138,9 @@ def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
 
 
 def power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
-    """Ordinary k-th power; k = 0 gives the unit ideal."""
-    if k < 0:
-        raise InputError("power needs k >= 0")
-    if k == 0:
-        return monomial_ideal(ideal.ring, [tuple([0] * ideal.ring.num_vars)])
-    if ideal.is_zero:
-        return ideal
+    """Ordinary k-th power, for k >= 1."""
+    if k < 1:
+        raise InputError("power needs k >= 1")
     prods = []
     for combo in itertools.combinations_with_replacement(sorted(ideal.gens), k):
         prods.append(tuple(sum(col) for col in zip(*combo)))
@@ -155,7 +148,9 @@ def power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
 
 
 def edge_ideal(g: Graph) -> MonomialIdeal:
-    """Ideal generated by x_u x_v over the edges of g."""
+    """Ideal generated by x_u x_v over the edges of g, which needs an edge."""
+    if not g.edges:
+        raise InputError("edge ideal needs at least one edge")
     ring = base_ring(g.n)
     gens = []
     for u, v in g.sorted_edges():
@@ -169,9 +164,7 @@ def edge_ideal(g: Graph) -> MonomialIdeal:
 def cover_ideal(g: Graph) -> MonomialIdeal:
     """Ideal whose generators are the minimal vertex covers of g: the
     Alexander dual of the edge ideal, i.e. the intersection of (x_u, x_v)
-    over all edges."""
-    if not g.edges:
-        raise InputError("cover ideal needs at least one edge")
+    over all edges. Like the edge ideal, it needs an edge."""
     return alexander_dual(edge_ideal(g))
 
 
@@ -218,8 +211,6 @@ def polarize(ideal: MonomialIdeal) -> MonomialIdeal:
     """
     if ideal.ring.is_layered:
         raise InputError("ideal is already polarized")
-    if ideal.is_zero:
-        raise InputError("polarization needs a nonzero ideal")
     n = ideal.ring.num_vars
     max_exp = [0] * n
     for gmono in ideal.gens:
@@ -246,8 +237,6 @@ def alexander_dual(ideal: MonomialIdeal) -> MonomialIdeal:
     the generator supports. An involution on squarefree ideals."""
     if not is_squarefree(ideal):
         raise InputError("Alexander dual implemented for squarefree ideals")
-    if ideal.is_zero or ideal.is_unit:
-        raise InputError("Alexander dual needs a nonzero proper ideal")
     support_masks = [mask_of(support(g)) for g in ideal.gens]
     gens = []
     for h in minimal_hitting_sets(support_masks):
@@ -266,8 +255,6 @@ _FACTOR_RE = re.compile(r"^x(\d+)(?:_(\d+))?(?:\^(\d+))?$")
 
 
 def format_monomial(ring: Ring, mono: Monomial) -> str:
-    if all(e == 0 for e in mono):
-        return "1"
     parts = []
     for lab, e in zip(ring.labels, mono):
         if e == 1:
@@ -278,21 +265,18 @@ def format_monomial(ring: Ring, mono: Monomial) -> str:
 
 
 def format_ideal_text(ideal: MonomialIdeal) -> str:
-    if ideal.is_zero:
-        return "(0)"
     return "(" + ", ".join(format_monomial(ideal.ring, g) for g in ideal.sorted_gens()) + ")"
 
 
 def parse_ideal_text(text: str, ring: Ring | None = None) -> MonomialIdeal:
     """Parse the canonical text form over `ring`, by default the space its
     labels infer (x1..x3 from base x3; the labels themselves if layered, as
-    x3_2). Indices, layers and exponents are at least 1."""
+    x3_2). Indices, layers and exponents are at least 1, and every generator
+    has a variable: `(0)`, `(1)` and `(1, x2)` are not ideal literals."""
     body = text.strip()
     if not (body.startswith("(") and body.endswith(")")):
         raise ParseError("ideal literal must be wrapped in parentheses")
     body = body[1:-1].strip()
-    if body == "0":
-        raise ParseError("zero ideal literal has no variable space to infer")
     terms = [t.strip() for t in body.split(",")]
     if any(not t for t in terms):
         raise ParseError("empty generator in ideal literal")
@@ -301,30 +285,27 @@ def parse_ideal_text(text: str, ring: Ring | None = None) -> MonomialIdeal:
     layered = None
     for term in terms:
         factors = {}
-        if term != "1":
-            for factor in term.split():
-                m = _FACTOR_RE.match(factor)
-                if not m:
-                    raise ParseError(f"bad monomial factor {factor!r}")
-                i, p, e = m.groups()
-                if int(i) == 0 or p is not None and int(p) == 0:
-                    raise ParseError(f"variable {factor!r} needs indices >= 1")
-                lab = (int(i), int(p)) if p is not None else int(i)
-                is_layer = p is not None
-                if layered is None:
-                    layered = is_layer
-                elif layered != is_layer:
-                    raise ParseError("cannot mix base and layered variables")
-                exp = int(e or 1)
-                if exp == 0:
-                    raise ParseError(f"factor {factor!r} needs an exponent >= 1")
-                if lab in factors:
-                    raise ParseError(f"repeated variable in {term!r}")
-                factors[lab] = exp
-                labels.add(lab)
+        for factor in term.split():
+            m = _FACTOR_RE.match(factor)
+            if not m:
+                raise ParseError(f"bad monomial factor {factor!r}")
+            i, p, e = m.groups()
+            if int(i) == 0 or p is not None and int(p) == 0:
+                raise ParseError(f"variable {factor!r} needs indices >= 1")
+            lab = (int(i), int(p)) if p is not None else int(i)
+            is_layer = p is not None
+            if layered is None:
+                layered = is_layer
+            elif layered != is_layer:
+                raise ParseError("cannot mix base and layered variables")
+            exp = int(e or 1)
+            if exp == 0:
+                raise ParseError(f"factor {factor!r} needs an exponent >= 1")
+            if lab in factors:
+                raise ParseError(f"repeated variable in {term!r}")
+            factors[lab] = exp
+            labels.add(lab)
         parsed.append(factors)
-    if not labels:
-        raise ParseError("unit ideal literal has no variable space to infer")
     if ring is None:
         ring = layered_ring(labels) if layered else base_ring(max(labels))
     gens = []

@@ -184,20 +184,18 @@ def _outcome(
 
 def verify_main(
     g: Graph,
-    k_extra: int = 1,
     f: FieldChoice = RATIONALS,
     guard: int | None = None,
 ) -> VerificationOutcome:
     """Depth stabilization: depth(S/J(g)^(k)) equals n - t - 1 for every
     exponent at or beyond the two-case threshold, and never dips below that
-    limit earlier. Checks exponents 1 .. threshold + k_extra."""
+    limit earlier. Checks exponents 1 .. threshold + 1; the instance records
+    that one exponent past the threshold as `"k_extra": 1`."""
     _require_no_isolated(g)
-    if k_extra < 0:
-        raise InputError("k_extra must be >= 0")
     t, s, threshold, _ = _stability(g)
     limit = g.n - t - 1
-    instance = {"graph": _graph_json(g), "k_extra": k_extra, "field": f.label}
-    depths, guard_hit = _depths(g, range(1, threshold + k_extra + 1), f, guard)
+    instance = {"graph": _graph_json(g), "k_extra": 1, "field": f.label}
+    depths, guard_hit = _depths(g, range(1, threshold + 2), f, guard)
     failures = {}
     for k, depth in depths.items():
         if k >= threshold and depth != limit:
@@ -503,7 +501,7 @@ class Verifier:
 # so wrappers installed on this module's attributes see every call.
 VERIFIERS: dict[str, Verifier] = {
     "main": Verifier(
-        lambda g, pi, k_max, f, guard: verify_main(g, 1, f, guard),
+        lambda g, pi, k_max, f, guard: verify_main(g, f, guard),
         accepts=_no_isolated,
     ),
     "whisker": Verifier(

@@ -344,8 +344,6 @@ def tuple_taylor_betti(
     Verbatim but for two inlined one-liners it called: `sum` for
     `ideals.total_degree` and the `BettiTable` built by
     `homology._betti_from_counts`."""
-    if ideal.is_unit:
-        raise InputError("the unit ideal is not a quotient ring input")
     gens = ideal.sorted_gens()
     check_guard(len(gens), guard, DEFAULT_TAYLOR_GUARD,
                 "{cost} generators exceed the guard {limit}")

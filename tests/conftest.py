@@ -83,7 +83,7 @@ def oracle_ideals() -> list[MonomialIdeal]:
                 cover_ideal(g),
                 polarize(symbolic_power_cover(g, 2)),
             ):
-                if not ideal.gens or len(ideal.gens) > 8:
+                if len(ideal.gens) > 8:
                     continue
                 key = (ideal.ring.labels, tuple(ideal.sorted_gens()))
                 if key not in seen:

@@ -22,8 +22,9 @@ from coverdepth.cli import (
 from coverdepth import cli
 from coverdepth.errors import ParseError
 from coverdepth.graphs import Graph
+from coverdepth.ideals import ideal_to_json, parse_ideal_text
 from coverdepth.layered import build_gk
-from coverdepth.theorems import report_to_json, run_corpus
+from coverdepth.theorems import VERIFIERS, report_to_json, run_corpus
 
 P4_TEXT = "n 4\n1 2\n2 3\n3 4\n"
 K2_TEXT = "n 2\n1 2\n"
@@ -175,6 +176,31 @@ def test_ideal_literal_with_exponent_zero_is_a_parse_error(tmp_path, capsys, op,
     assert main(["ideal", op, str(path), *(["2"] if op == "pow" else [])]) == 2
     captured = capsys.readouterr()
     assert "needs an exponent >= 1" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("literal", ["(0)", "(1)", "(1, x2)"])
+def test_ideal_literal_zero_or_unit_is_a_parse_error(tmp_path, capsys, literal):
+    """Every ideal is nonzero and proper, so the zero and the unit ideal
+    have no literal, and 1 is no generator."""
+    path = tmp_path / "ideal.txt"
+    path.write_text(literal + "\n")
+    assert main(["ideal", "pow", str(path), "2"]) == 2
+    captured = capsys.readouterr()
+    assert "bad monomial factor" in captured.err and captured.out == ""
+
+
+def test_ideal_ops_refuse_the_zero_and_unit_ideals(files, capsys):
+    """`pow` with k = 0 would give the unit ideal and `edge` on an edgeless
+    graph the zero ideal; both are precondition errors (exit 4)."""
+    edge = files["dir"] / "edge.txt"
+    edge.write_text("(x1 x2)\n")
+    assert main(["ideal", "pow", str(edge), "0"]) == 4
+    assert "power needs k >= 1" in capsys.readouterr().err
+    empty = files["dir"] / "empty.txt"
+    empty.write_text("n 2\n")
+    assert main(["ideal", "edge", str(empty)]) == 4
+    captured = capsys.readouterr()
+    assert "edge ideal needs at least one edge" in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize(
@@ -350,12 +376,19 @@ IDEAL_OUTPUTS = [
 ]
 
 
-def test_ideal_op_outputs_pinned(files, capsys):
-    """Every `ideal` op's text and JSON output on P4, K2 and ideals built
-    from them, byte for byte; a non-integer exponent is a usage error."""
+@pytest.fixture
+def ideal_files(files):
+    """The `files` fixture with the IDEAL_FILES written beside it."""
     for name, text in IDEAL_FILES.items():
         (files["dir"] / f"{name}.txt").write_text(text)
         files[name] = str(files["dir"] / f"{name}.txt")
+    return files
+
+
+def test_ideal_op_outputs_pinned(ideal_files, capsys):
+    """Every `ideal` op's text and JSON output on P4, K2 and ideals built
+    from them, byte for byte; a non-integer exponent is a usage error."""
+    files = ideal_files
     assert [argv[0] for argv, _, _ in IDEAL_OUTPUTS] == list(IDEAL_OP_HELP)
     for argv, text, data in IDEAL_OUTPUTS:
         argv = ["ideal", argv[0], *(files.get(a, a) for a in argv[1:])]
@@ -368,6 +401,17 @@ def test_ideal_op_outputs_pinned(files, capsys):
             main(["ideal", *argv])
         assert exc.value.code == 2
         assert "argument k: invalid int value: 'x'" in capsys.readouterr().err
+
+
+def test_ideal_op_text_parses_back(ideal_files, capsys):
+    """The text each `ideal` op prints is an ideal literal: it parses back
+    to the variables and generators the op prints as JSON."""
+    for argv, _, _ in IDEAL_OUTPUTS:
+        argv = ["ideal", argv[0], *(ideal_files.get(a, a) for a in argv[1:])]
+        assert main(argv) == 0
+        parsed = parse_ideal_text(capsys.readouterr().out)
+        assert main([*argv, "--format", "json"]) == 0
+        assert ideal_to_json(parsed) == json.loads(capsys.readouterr().out), argv
 
 
 def test_gk_output(files, capsys):
@@ -497,6 +541,20 @@ def test_verify_mode_flags_are_usage_errors_in_the_other_mode(files, capsys):
     pi.write_text("1 2\n")
     assert main(["verify", "whisker", "--partition", str(pi)]) == 2
     assert "--partition needs --graph" in capsys.readouterr().err
+
+
+def test_verify_partition_is_a_usage_error_for_a_theorem_that_takes_none(files, capsys):
+    """Only `whisker` reads `--partition`; a single-theorem run of any other
+    verifier with it exits 2 instead of ignoring it."""
+    pi = files["dir"] / "pi.txt"
+    pi.write_text("1 2\n")
+    others = [tid for tid, spec in VERIFIERS.items() if not spec.takes_partition]
+    assert others == ["main", "regind", "regupper", "bipartite", "proofmatch"]
+    for tid in others:
+        argv = ["verify", tid, "--graph", files["k2"], "--partition", str(pi)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"verify {tid} takes no --partition" in captured.err and captured.out == ""
 
 
 def test_verify_single_graph_deterministic_across_jobs(files, monkeypatch, capsys):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from coverdepth.errors import InputError, ParseError
 from coverdepth.graphs import enumerate_graphs, graph, isomorphism_representatives
 from coverdepth.ideals import (
+    MonomialIdeal,
     alexander_dual,
     base_ring,
     cover_ideal,
@@ -60,10 +61,15 @@ def test_minimalize_drops_multiples():
 
 
 def test_zero_and_unit():
-    zero = monomial_ideal(base_ring(2), [])
-    assert zero.is_zero and not zero.is_unit
-    unit = monomial_ideal(base_ring(2), [(0, 0), (1, 2)])
-    assert unit.is_unit and unit.gens == frozenset({(0, 0)})
+    """Every ideal is nonzero and proper: the constructor rejects the zero
+    ideal and the unit ideal, the latter also once minimalization has
+    reduced a generating set to the generator 1."""
+    with pytest.raises(InputError, match="zero ideal"):
+        monomial_ideal(base_ring(2), [])
+    with pytest.raises(InputError, match="unit ideal"):
+        monomial_ideal(base_ring(2), [(0, 0), (1, 2)])
+    with pytest.raises(InputError, match="unit ideal"):
+        MonomialIdeal(base_ring(2), frozenset({(0, 0)}))
 
 
 def test_ring_validation():
@@ -94,7 +100,8 @@ def test_power_frozen():
     ideal = monomial_ideal(base_ring(3), [(1, 1, 0), (0, 1, 1)])
     assert power(ideal, 2).gens == frozenset({(2, 2, 0), (1, 2, 1), (0, 2, 2)})
     assert power(ideal, 1).gens == ideal.gens
-    assert power(ideal, 0).is_unit
+    with pytest.raises(InputError, match="power needs k >= 1"):
+        power(ideal, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +124,11 @@ def test_cover_ideal_k3():
 def test_cover_ideal_requires_edges():
     with pytest.raises(InputError):
         cover_ideal(graph(3, []))
+
+
+def test_edge_ideal_requires_edges():
+    with pytest.raises(InputError, match="edge ideal needs at least one edge"):
+        edge_ideal(graph(3, []))
 
 
 def test_cover_is_intersection_of_edge_primes():
@@ -224,8 +236,10 @@ def test_parse_errors():
         parse_ideal_text("(x1 y2)")
     with pytest.raises(ParseError):
         parse_ideal_text("(x1 x1_2)")
-    with pytest.raises(ParseError):
-        parse_ideal_text("(1)")
+    # an ideal literal is nonzero and proper, and the monomial 1 is no term
+    for literal in ("(0)", "(1)", "(1, x2)"):
+        with pytest.raises(ParseError, match="bad monomial factor"):
+            parse_ideal_text(literal)
     # variables are numbered from 1, and so are layers
     for literal in ("(x0)", "(x0 x1)", "(x1_0)", "(x0_1)"):
         with pytest.raises(ParseError, match="needs indices >= 1"):
@@ -255,7 +269,9 @@ def test_json_round_trip():
 # ---------------------------------------------------------------------------
 
 def exponent_tuples(n: int):
-    return st.tuples(*[st.integers(min_value=0, max_value=3)] * n)
+    """Exponent vectors of n variables, never all zero: that generator
+    would make the unit ideal."""
+    return st.tuples(*[st.integers(min_value=0, max_value=3)] * n).filter(any)
 
 
 @st.composite
@@ -299,8 +315,6 @@ def test_dual_involution(data):
     squarefree = monomial_ideal(
         ideal.ring, [tuple(min(e, 1) for e in g) for g in ideal.gens]
     )
-    if squarefree.is_zero or squarefree.is_unit:
-        return
     assert alexander_dual(alexander_dual(squarefree)) == squarefree
 
 

@@ -114,8 +114,6 @@ def test_verify_main_examples():
 def test_verify_main_errors_and_guard():
     with pytest.raises(InputError):
         verify_main(Graph(3, ((1, 2),)))
-    with pytest.raises(InputError):
-        verify_main(path(2), k_extra=-1)
     skipped = verify_main(path(4), guard=5)
     assert skipped.status == "skipped"
     assert skipped.details["depths"] == {"1": 2}
@@ -550,7 +548,7 @@ def test_report_formats():
 @given(g=small_graphs_no_isolated())
 @settings(max_examples=15, deadline=None)
 def test_verifiers_never_fail_on_small_graphs(g):
-    assert verify_main(g, k_extra=0, f=RATIONALS).status in ("passed", "skipped")
+    assert verify_main(g, f=RATIONALS).status in ("passed", "skipped")
     assert verify_reg_upper(g).passed
     assert verify_regind(g).status in ("passed", "skipped")
     assert verify_proof_matchings(g).status in ("passed", "skipped")
