@@ -2,13 +2,15 @@
 
 Ranks drive every homology dimension in this package, so they must be exact:
 over the rationals a fraction-free Bareiss elimination on Python integers,
-over F2 a bitmask XOR elimination, and over other prime fields a modular
-Gaussian elimination. Characteristic 0 means the rationals throughout.
+and over F2 a bitmask XOR elimination. Characteristic 0 means the rationals
+throughout; those are the only two fields the package computes over.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+
+from .errors import InputError
 
 
 def rank_over_q(rows: Sequence[Sequence[int]]) -> int:
@@ -52,35 +54,11 @@ def rank_mod_2(rows: Sequence[Sequence[int]]) -> int:
     return len(basis)
 
 
-def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
-    """Rank over the prime field F_p by modular Gaussian elimination."""
-    m = [[e % p for e in r] for r in rows]
-    m = [r for r in m if any(r)]
-    if not m:
-        return 0
-    cols = len(m[0])
-    rank = 0
-    for c in range(cols):
-        pivot = next((i for i in range(rank, len(m)) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = pow(m[rank][c], -1, p)
-        m[rank] = [e * inv % p for e in m[rank]]
-        for i in range(rank + 1, len(m)):
-            if m[i][c]:
-                f = m[i][c]
-                m[i] = [(e - f * er) % p for e, er in zip(m[i], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
-
-
 def rank(rows: Sequence[Sequence[int]], char: int) -> int:
-    """Rank over the field of the given characteristic (0 = rationals)."""
+    """Rank over Q (characteristic 0) or F2 (characteristic 2); any other
+    characteristic raises :class:`InputError`."""
     if char == 0:
         return rank_over_q(rows)
     if char == 2:
         return rank_mod_2(rows)
-    return rank_mod_p(rows, char)
+    raise InputError(f"field characteristic must be 0 or 2, got {char}")

@@ -10,16 +10,18 @@ and the csv format.
 Any other flag, or a mode's flag in the other mode, is a usage error.
 
 Exit codes: 0 success; 1 verification found failures; 2 unparseable or
-rejected input, usage errors included; 3 resource guard exceeded; 4
-operation precondition violated, or a count flag below 1, or a guard above
-the default without the override; 5 two internal computation routes
-disagreed (a bug, never a property of the input).
+rejected input, usage errors included, or a file that cannot be read,
+decoded or written; 3 resource guard exceeded; 4 operation precondition
+violated, or a count flag below 1, or a guard above the default without
+the override; 5 two internal computation routes disagreed (a bug, never a
+property of the input).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -66,8 +68,10 @@ EXIT_GUARD = 3
 EXIT_PRECONDITION = 4
 EXIT_INCONSISTENT = 5
 
-FIELDS = {"q": RATIONALS, "f2": F2}
+FIELDS = {f.label: f for f in (RATIONALS, F2)}
 DEFAULT_MAX_VERTICES = 5
+# graph and partition numbers; `str.isdigit` would also take '²', which int rejects
+_NUMBER = re.compile("[0-9]+")
 
 
 # ---------------------------------------------------------------------------
@@ -76,18 +80,18 @@ DEFAULT_MAX_VERTICES = 5
 
 
 def parse_graph_text(text: str) -> Graph:
-    """Graph file: first line "n <count>", then one edge "u v" per line."""
+    """Graph file: "n <count>", then one edge "u v" per line; ASCII digits."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ParseError("empty graph file")
     head = lines[0].split()
-    if len(head) != 2 or head[0] != "n" or not head[1].isdigit():
+    if len(head) != 2 or head[0] != "n" or not _NUMBER.fullmatch(head[1]):
         raise ParseError(f"graph file must start with 'n <count>', got {lines[0]!r}")
     n = int(head[1])
     edges = set()
     for ln in lines[1:]:
         parts = ln.split()
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
+        if len(parts) != 2 or not all(_NUMBER.fullmatch(p) for p in parts):
             raise ParseError(f"bad edge line {ln!r}")
         u, v = int(parts[0]), int(parts[1])
         if not 1 <= u < v <= n:
@@ -100,13 +104,13 @@ def parse_graph_text(text: str) -> Graph:
 
 
 def parse_partition_text(text: str) -> list[tuple[int, ...]]:
-    """Clique-partition file: one block per line, space-separated vertices."""
+    """Clique-partition file: one block per line, vertices in ASCII digits."""
     blocks = []
     for ln in text.splitlines():
         if not ln.strip():
             continue
         parts = ln.split()
-        if not all(p.isdigit() for p in parts):
+        if not all(_NUMBER.fullmatch(p) for p in parts):
             raise ParseError(f"bad partition line {ln!r}")
         blocks.append(tuple(int(p) for p in parts))
     if not blocks:
@@ -128,8 +132,8 @@ def format_layered_text(gk: LayeredGraph) -> str:
 
 def _read_file(path: str) -> str:
     try:
-        return Path(path).read_text()
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
@@ -161,8 +165,11 @@ def _json_text(obj) -> str:
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
-    else:
-        Path(output).write_text(text)
+        return
+    try:
+        Path(output).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot write {output}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

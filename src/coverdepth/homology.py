@@ -94,27 +94,16 @@ from .layered import LayeredGraph, as_plain_graph, build_gk
 # coefficient fields
 # ---------------------------------------------------------------------------
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 @dataclass(frozen=True)
 class FieldChoice:
-    """Coefficient field for all homology: characteristic 0 is the rationals,
-    a prime characteristic p is the p-element field."""
+    """Coefficient field for all homology: characteristic 0 is the rationals
+    Q, characteristic 2 the two-element field F2; no other is accepted."""
 
     char: int
 
     def __post_init__(self) -> None:
-        if self.char != 0 and not _is_prime(self.char):
-            raise InputError(f"field characteristic must be 0 or prime, got {self.char}")
+        if self.char not in (0, 2):
+            raise InputError(f"field characteristic must be 0 or 2, got {self.char}")
 
     @property
     def label(self) -> str:

@@ -251,7 +251,7 @@ def alexander_dual(ideal: MonomialIdeal) -> MonomialIdeal:
 # text and JSON forms
 # ---------------------------------------------------------------------------
 
-_FACTOR_RE = re.compile(r"^x(\d+)(?:_(\d+))?(?:\^(\d+))?$")
+_FACTOR_RE = re.compile(r"^x([0-9]+)(?:_([0-9]+))?(?:\^([0-9]+))?$")
 
 
 def format_monomial(ring: Ring, mono: Monomial) -> str:

@@ -298,6 +298,17 @@ def _rank_fraction(rows: list[list[Fraction]]) -> int:
     return rank
 
 
+def brute_rank_mod_2(rows) -> int:
+    """Rank over F2 as log2 of the size of the rows' XOR span: each row is
+    packed mod 2 into an int and the span is closed under XOR, with no
+    elimination."""
+    span = {0}
+    for row in rows:
+        v = sum(1 << j for j, e in enumerate(row) if e % 2)
+        span |= {s ^ v for s in span}
+    return len(span).bit_length() - 1
+
+
 def brute_reduced_homology(vertices: list, nonfaces: list[frozenset]) -> dict[int, int]:
     """Reduced homology dims over Q of the complex with the given minimal
     non-faces, degrees -1..dim. The complex {empty face only} has H_{-1} = 1.

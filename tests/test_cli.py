@@ -189,6 +189,49 @@ def test_ideal_literal_zero_or_unit_is_a_parse_error(tmp_path, capsys, literal):
     assert "bad monomial factor" in captured.err and captured.out == ""
 
 
+# case -> (argv, with {dir} for a scratch directory; the files written there)
+FILE_ERRORS = {
+    "graph-not-utf8": (["invariants", "{dir}/g.txt"], {"g.txt": b"n 2\n1 2\xff\n"}),
+    "ideal-not-utf8": (["ideal", "dual", "{dir}/i.txt"], {"i.txt": b"(x1 x2\xff)\n"}),
+    "graph-count-superscript": (
+        ["invariants", "{dir}/g.txt"], {"g.txt": "n \u00b3\n".encode()},
+    ),
+    "graph-edge-superscript": (
+        ["gk", "{dir}/g.txt", "2"], {"g.txt": "n 3\n1 \u00b2\n".encode()},
+    ),
+    "partition-superscript": (
+        ["verify", "whisker", "--graph", "{dir}/g.txt", "--partition", "{dir}/p.txt"],
+        {"g.txt": b"n 2\n1 2\n", "p.txt": "1 \u00b2\n".encode()},
+    ),
+    # an Arabic-Indic three, which `\d` would read as x3
+    "ideal-non-ascii-digit": (
+        ["ideal", "dual", "{dir}/i.txt"], {"i.txt": "(x1 x\u0663)\n".encode()},
+    ),
+    "output-into-missing-dir": (
+        ["verify", "all", "--max-vertices", "3", "--output", "{dir}/missing/r.json"],
+        {},
+    ),
+    "ideal-output-into-missing-dir": (
+        ["ideal", "cover", "{dir}/g.txt", "--output", "{dir}/missing/i.txt"],
+        {"g.txt": b"n 2\n1 2\n"},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", FILE_ERRORS)
+def test_file_errors_exit_2_with_one_error_line(tmp_path, capsys, case):
+    """A file that cannot be read, decoded or written, or that holds a
+    non-ASCII digit, is an input error: exit 2 and one `error:` line, never
+    a traceback and exit 1, the code of a verification that found failures."""
+    argv, contents = FILE_ERRORS[case]
+    for name, data in contents.items():
+        (tmp_path / name).write_bytes(data)
+    assert main([arg.format(dir=tmp_path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_ideal_ops_refuse_the_zero_and_unit_ideals(files, capsys):
     """`pow` with k = 0 would give the unit ideal and `edge` on an edgeless
     graph the zero ideal; both are precondition errors (exit 4)."""

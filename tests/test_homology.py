@@ -115,8 +115,7 @@ def _masks(non_faces) -> list[int]:
 def test_field_choice():
     assert RATIONALS.char == 0 and RATIONALS.label == "q"
     assert F2.char == 2 and F2.label == "f2"
-    assert FieldChoice(5).label == "f5"
-    for bad in (-1, 1, 4, 6):
+    for bad in (-1, 1, 3, 4, 5, 6):
         with pytest.raises(InputError):
             FieldChoice(bad)
 
@@ -167,7 +166,6 @@ def test_reduced_homology_projective_plane():
     faces = homology._faces_by_dim(0b111111, _masks(missing))
     assert homology._dims_from_faces(faces, RATIONALS.char) == {-1: 0, 0: 0, 1: 0, 2: 0}
     assert homology._dims_from_faces(faces, F2.char) == {-1: 0, 0: 0, 1: 1, 2: 1}
-    assert homology._dims_from_faces(faces, 3) == {-1: 0, 0: 0, 1: 0, 2: 0}
 
 
 @given(g=small_graphs(max_n=6))
@@ -326,9 +324,6 @@ def test_taylor_handles_non_squarefree():
     assert (t.pd, t.reg, square.ring.num_vars - t.pd) == (2, 1, 0)
 
 
-F3 = FieldChoice(3)
-
-
 def _random_monomial_ideals(seed: int, count: int) -> list[MonomialIdeal]:
     """Seeded monomial ideals with 1-8 generators in 1-5 variables and
     exponents 0-3. A drawn all-zero generator, the monomial 1, is dropped,
@@ -352,7 +347,7 @@ def _taylor_mismatches(ideals) -> list[tuple]:
     rejects counts as a disagreement."""
     bad = []
     for ideal in ideals:
-        for f in (RATIONALS, F2, F3):
+        for f in (RATIONALS, F2):
             try:
                 same = taylor_betti_oracle(ideal, f) == tuple_taylor_betti(ideal, f)
             except InputError:
@@ -392,7 +387,7 @@ def test_taylor_reference_catches_binary_packing(monkeypatch):
 
     monkeypatch.setattr(homology, "_unary_pack", binary_pack)
     assert _taylor_mismatches([CROSSED]) == [
-        ([(2, 1), (1, 2)], label) for label in ("q", "f2", "f3")
+        ([(2, 1), (1, 2)], label) for label in ("q", "f2")
     ]
     assert _taylor_mismatches(_random_monomial_ideals(18, 400))
 
