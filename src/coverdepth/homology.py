@@ -118,25 +118,15 @@ F2 = FieldChoice(2)
 # reduced homology by exact ranks
 # ---------------------------------------------------------------------------
 
-def _faces_by_dim(vertices: int, non_faces) -> dict[int, list[int]]:
+def _faces_by_dim(vertices: int, adj, non_faces=()) -> dict[int, list[int]]:
     """All faces, as bitmasks grouped by dimension, of the complex on the
-    vertex mask `vertices` whose minimal non-faces are the masks `non_faces`;
-    the empty face sits in dimension -1. One depth-first walk adds vertices
-    in increasing order, so only a vertex joining as a face's highest can
-    complete a non-face: a singleton non-face removes its vertex, a
-    2-element one drops its upper vertex from the lower one's candidates,
-    and a larger one is tested when its highest vertex would join."""
-    up = [0] * vertices.bit_length()  # vertex -> upper ends of its 2-non-faces
-    larger: dict[int, list[int]] = {}  # top vertex bit -> larger non-faces
-    for nf in non_faces:
-        top = 1 << (nf.bit_length() - 1)
-        if nf == top:
-            vertices &= ~top
-        elif nf.bit_count() == 2:
-            up[(nf ^ top).bit_length() - 1] |= top
-        else:
-            larger.setdefault(top, []).append(nf)
-    tops = sum(larger)
+    vertex mask `vertices` whose minimal non-faces are the edges of the
+    neighbour masks `adj` (`adj[v]` holds v's neighbours) and the masks
+    `non_faces`, of any size; the empty face sits in dimension -1. One
+    depth-first walk adds vertices in increasing order, so only a vertex
+    joining as a face's highest can complete a non-face: a joining vertex
+    drops its neighbours from the candidates above it, and a mask in
+    `non_faces` is tested when its highest vertex would join."""
     faces: dict[int, list[int]] = {}
     stack = [(0, vertices)]
     while stack:
@@ -148,17 +138,19 @@ def _faces_by_dim(vertices: int, non_faces) -> dict[int, list[int]]:
             bit = 1 << v
             candidates ^= bit
             grown = face | bit
-            if not (bit & tops and any(nf & grown == nf for nf in larger[bit])):
-                stack.append((grown, above & ~up[v]))
+            if not any(nf >> v == 1 and nf & grown == nf for nf in non_faces):
+                stack.append((grown, above & ~adj[v]))
             above |= bit
     return faces
 
 
 def _dims_from_faces(faces: dict[int, list[int]], char: int) -> dict[int, int]:
-    """Reduced homology dimensions from face masks by dimension: for each
-    degree d, dim = #faces - rank(boundary_d) - rank(boundary_{d+1}). The
-    i-th lowest vertex of a face carries the sign (-1)^i; ranks, and so the
-    dims, do not depend on the order of the faces."""
+    """Sparse reduced homology dimensions from face masks by dimension: for
+    each degree d, dim = #faces - rank(boundary_d) - rank(boundary_{d+1}),
+    and only nonzero degrees are kept, so an acyclic complex gives {} and
+    the empty complex {-1: 1}. The i-th lowest vertex of a face carries the
+    sign (-1)^i; ranks, and so the dims, do not depend on the order of the
+    faces."""
     top = max(faces)
     ranks: dict[int, int] = {}
     for d in range(0, top + 1):
@@ -173,8 +165,9 @@ def _dims_from_faces(faces: dict[int, list[int]], char: int) -> dict[int, int]:
                 sign, rest = -sign, rest ^ low
             rows.append(row)
         ranks[d] = rank(rows, char)
-    return {d: len(faces[d]) - ranks.get(d, 0) - ranks.get(d + 1, 0)
+    dims = {d: len(faces[d]) - ranks.get(d, 0) - ranks.get(d + 1, 0)
             for d in range(-1, top + 1)}
+    return {d: c for d, c in dims.items() if c}
 
 
 def _adjacency(edges: list[int], m: int) -> tuple[int, ...]:
@@ -190,8 +183,9 @@ _COMPONENT_DIMS: dict[tuple, dict[int, int]] = {}
 def _component_dims(adj: tuple[int, ...], comp_mask: int, char: int) -> dict[int, int]:
     """Sparse reduced-homology dims of the independence complex of one
     connected induced subgraph, memoized per field under the subgraph's
-    adjacency bitmasks relabelled 0..m-1 in increasing vertex order. The key
-    determines the labelled graph, so a hit is always the same complex."""
+    adjacency bitmasks relabelled 0..m-1 in increasing vertex order, which
+    are also the rows a miss hands to the face walk. The key determines the
+    labelled graph, so a hit is always the same complex."""
     pos: dict[int, int] = {}  # vertex bit -> its bit in the relabelled graph
     m = comp_mask
     while m:
@@ -210,11 +204,8 @@ def _component_dims(adj: tuple[int, ...], comp_mask: int, char: int) -> dict[int
     key = (char, tuple(local))
     cached = _COMPONENT_DIMS.get(key)
     if cached is None:
-        edges = [1 << v | 1 << u for v, row in enumerate(local)
-                 for u in iter_bits(row) if u > v]
-        dense = _dims_from_faces(_faces_by_dim((1 << len(local)) - 1, edges), char)
-        cached = {d: c for d, c in dense.items() if c}
-        _COMPONENT_DIMS[key] = cached
+        cached = _COMPONENT_DIMS[key] = _dims_from_faces(
+            _faces_by_dim((1 << len(local)) - 1, local), char)
     return cached
 
 
@@ -377,7 +368,7 @@ def betti_table_squarefree(
     dual = [sum(bit[v] for v in support(m)) for m in alexander_dual(ideal).sorted_gens()]
     if all(s.bit_count() == 2 for s in dual):
         adj_t = _adjacency(dual, n)
-        for w in itertools.chain.from_iterable(_faces_by_dim(full, dual).values()):
+        for w in itertools.chain.from_iterable(_faces_by_dim(full, adj_t).values()):
             closed = w
             for v in iter_bits(w):
                 closed |= adj_t[v]
@@ -401,9 +392,8 @@ def betti_table_squarefree(
         if union != mask:
             continue  # a vertex in no non-face lies in every facet: a cone
         j = mask.bit_count()
-        for d, c in _dims_from_faces(_faces_by_dim(mask, inside), f.char).items():
-            if c:
-                counts[_hochster_position(j, d)] += c
+        for d, c in _dims_from_faces(_faces_by_dim(mask, [0] * n, inside), f.char).items():
+            counts[_hochster_position(j, d)] += c
     return _betti_from_counts(ideal.ring.num_vars, counts)
 
 
@@ -498,7 +488,7 @@ def _reg_sweep(adj: tuple[int, ...], char: int) -> int:
     degree unchanged, so each degree some subset reaches is also reached by
     a fold-free one. A depth-first walk adds vertices in increasing order,
     so a nested pair drops its upper vertex from the lower one's candidates
-    (`up`), as 2-element non-faces do in `_faces_by_dim`.
+    (`up`), as neighbours do in `_faces_by_dim`.
 
     The walk is pruned by the quadric size bound: in the Taylor resolution
     of a quadric ideal beta_{i,j} != 0 needs j <= 2i, which by Hochster's
@@ -636,10 +626,8 @@ def _pd_symbolic_cover(g: Graph, k: int, char: int) -> int:
                 continue  # a cone
             dims = _KOSZUL_DIMS.get((char, key))
             if dims is None:
-                edges = [1 << x | 1 << u for x, r in zip(iter_bits(live), key)
-                         for u in iter_bits(r) if u > x]
-                dense = _dims_from_faces(_faces_by_dim(live, edges), char)
-                dims = _KOSZUL_DIMS[char, key] = {d: c for d, c in dense.items() if c}
+                dims = _KOSZUL_DIMS[char, key] = _dims_from_faces(
+                    _faces_by_dim(live, dict(zip(iter_bits(live), key))), char)
             for d in dims:
                 if 2 * d + 2 > size:
                     raise ConsistencyError(

@@ -23,6 +23,7 @@ import hashlib
 import io
 import itertools
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
@@ -30,7 +31,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 from . import homology
 from .errors import GuardError, InputError
 from .graphs import (
-    NEG_INF,
     Graph,
     OrderedProfile,
     independence_number,
@@ -252,7 +252,7 @@ def verify_whisker(
     failures = {}
     if t_w != m:
         failures["ord_match"] = {"expected": m, "computed": t_w}
-    s_w = profile.best(m)[0] or NEG_INF
+    s_w = profile.best(m)[0] or "-inf"
     if s_w != m:
         failures["m_ordered_certificate"] = {"expected": m, "computed": s_w}
     depths, guard_hit = _depths(w, range(1, k_max + 1), f, guard)
@@ -572,12 +572,12 @@ def run_corpus(
 def run_items(items: Sequence[tuple], jobs: int = 1) -> list[VerificationOutcome]:
     """Runs each (theorem id, graph, partition, k_max, field, guard) item
     through its registry entry, in item order whatever `jobs` is, on at
-    most one worker process per item. While they run each depth is
-    computed once per labelled graph, k and field (`_depth`); the memo is
-    gone when this returns or raises."""
+    most one worker process per item and per CPU. While they run each
+    depth is computed once per labelled graph, k and field (`_depth`); the
+    memo is gone when this returns or raises."""
     global _DEPTH_MEMO
     _DEPTH_MEMO = {}
-    workers = min(jobs, len(items))
+    workers = min(jobs, len(items), os.cpu_count() or 1)
     try:
         if workers <= 1:
             return [_run_item(item) for item in items]

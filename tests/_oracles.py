@@ -87,7 +87,8 @@ def face_walk_induced_matching(g: Graph) -> int:
         for (i, e), (j, f) in itertools.combinations(enumerate(edges), 2)
         if set(e) & set(f) or any(g.has_edge(u, v) for u in e for v in f)
     ]
-    return max(homology._faces_by_dim((1 << len(edges)) - 1, non_faces)) + 1
+    m = len(edges)
+    return max(homology._faces_by_dim((1 << m) - 1, [0] * m, non_faces)) + 1
 
 
 def _ordered_ok(

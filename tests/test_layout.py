@@ -3,9 +3,11 @@ has a caller in the program itself, so library code that only tests or the
 benchmark call does not build up in `src/`.
 
 A name counts as referenced when it appears, outside its own definition, in
-`src/coverdepth/*.py` as a variable name or an attribute. String constants
-do not count, and neither does `bench/`: a name that only the benchmark
-runs stays in `src/` only through `BENCH_ONLY`, with its reason.
+`src/coverdepth/*.py` as a variable name or as an attribute of a module
+name (`homology.depth_symbolic_cover`); a method of the same name
+(`profile.largest_stable_s()`) does not count. String constants do not
+count, and neither does `bench/`: a name that only the benchmark runs stays
+in `src/` only through `BENCH_ONLY`, with its reason.
 
 The same scan checks that the Taylor Betti oracle stays independent of the
 Hochster engine it cross-checks, and that verification outcomes are built
@@ -22,6 +24,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "coverdepth").glob("*.py"))
+MODULES = {path.stem for path in SRC}
 
 # Definitions with no caller in `src/` that stay because the benchmark runs
 # them, with why. `bench/tracer.py` looks each name in its `LAYER_FUNCTIONS`
@@ -30,6 +33,7 @@ BENCH_ONLY: dict[str, str] = {
     "graphs.s_ordered_matching_number": "a span in bench/tracer.py's LAYER_FUNCTIONS",
     "graphs.enumerate_graphs": "a span in bench/tracer.py's LAYER_FUNCTIONS",
     "graphs.isomorphism_representatives": "a span in bench/tracer.py's LAYER_FUNCTIONS",
+    "graphs.largest_stable_s": "a span in bench/tracer.py's LAYER_FUNCTIONS",
     "homology.betti_table_squarefree": "the betti_generic workload's Betti tables",
     "homology.taylor_betti_oracle": "the betti_generic workload's cross-check",
     "homology.reg_edge_ideal": "the regsweep6 workload's regularity",
@@ -47,18 +51,31 @@ def _names(node: ast.AST) -> Counter[str]:
     return out
 
 
+def _uses(node: ast.AST) -> Counter[str]:
+    """Variable names under `node`, and attributes of a coverdepth module
+    name: `graphs.largest_stable_s` counts, `profile.largest_stable_s` not."""
+    out: Counter[str] = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out[sub.id] += 1
+        elif (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+              and sub.value.id in MODULES):
+            out[sub.attr] += 1
+    return out
+
+
 def _source_trees() -> dict[str, ast.Module]:
     return {path.stem: ast.parse(path.read_text()) for path in SRC}
 
 
 def _unreferenced(trees: dict[str, ast.Module]) -> set[str]:
     """`module.name` of each top-level definition in `trees` that no name
-    or attribute outside the definition itself refers to."""
+    or module attribute outside the definition itself refers to."""
     total: Counter[str] = Counter()
     definitions = []
     for module, tree in trees.items():
-        total += _names(tree)
-        definitions += [(module, node, _names(node)) for node in tree.body
+        total += _uses(tree)
+        definitions += [(module, node, _uses(node)) for node in tree.body
                         if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
     return {f"{module}.{node.name}" for module, node, inside in definitions
             if total[node.name] == inside[node.name]}
@@ -100,6 +117,19 @@ def test_the_caller_scan_counts_only_names_in_src():
         assert name not in _unreferenced(trees)
         with pytest.raises(AssertionError):
             _check_callers(trees)
+
+
+def test_the_caller_scan_tells_a_module_function_from_a_method():
+    # a method of the same name does not call graphs.largest_stable_s
+    trees = _source_trees()
+    _plant(trees, "cli", "HELD = obj.largest_stable_s()")
+    _check_callers(trees)
+    # the module function called through its module does
+    trees = _source_trees()
+    _plant(trees, "cli", "HELD = graphs.largest_stable_s(g)")
+    assert "graphs.largest_stable_s" not in _unreferenced(trees)
+    with pytest.raises(AssertionError, match="drop them from BENCH_ONLY"):
+        _check_callers(trees)
 
 
 # The Hochster engine that `homology.taylor_betti_oracle` cross-checks. The

@@ -147,6 +147,28 @@ def test_verify_whisker_errors_and_guard():
     assert skipped.details["depths"] == {"1": 2}
 
 
+def test_whisker_failure_without_m_ordered_matching_is_valid_json(monkeypatch):
+    """The report of a whisker graph with no m-ordered matching, the one a
+    real counterexample would produce, is RFC 8259 JSON: the missing size
+    reads "-inf", not -Infinity, which strict parsers reject. The ordered
+    profile is faked to record only s = 1."""
+    real = theorems.ordered_profile
+
+    def no_m_ordered(g):
+        profile = real(g)
+        return dataclasses.replace(profile, sizes=profile.sizes[:1], certs=profile.certs[:1])
+
+    monkeypatch.setattr(theorems, "ordered_profile", no_m_ordered)
+    outcome = verify_whisker(path(2), [(1,), (2,)])
+    assert outcome.status == "failed"
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not RFC 8259 JSON")
+
+    report = json.loads(report_to_json([outcome]), parse_constant=reject)
+    assert report[0]["details"]["m_ordered_certificate"] == {"expected": 2, "computed": "-inf"}
+
+
 def test_verify_regind_examples():
     k2 = verify_regind(path(2))
     assert k2.passed
@@ -299,6 +321,35 @@ def test_run_corpus_is_deterministic_and_parallel_safe():
     b = run_corpus(max_vertices=3, k_max=2)
     c = run_corpus(max_vertices=3, k_max=2, jobs=2)
     assert report_to_json(a) == report_to_json(b) == report_to_json(c)
+
+
+def test_run_items_starts_at_most_one_worker_per_cpu(monkeypatch):
+    """A `jobs` above the CPU count starts one worker per CPU, and an
+    unknown CPU count none, with the report of a serial run either way.
+    The pool is a fake that maps in this process, so no worker starts."""
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    serial = report_to_json(run_corpus(max_vertices=3, k_max=2))
+    monkeypatch.setattr(theorems, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 2)
+    assert report_to_json(run_corpus(max_vertices=3, k_max=2, jobs=5000)) == serial
+    assert started == [2]
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: None)
+    assert report_to_json(run_corpus(max_vertices=3, k_max=2, jobs=5000)) == serial
+    assert started == [2]
 
 
 def test_run_corpus_subset_and_errors():
