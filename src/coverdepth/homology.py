@@ -87,7 +87,7 @@ from .ideals import (
     is_squarefree,
     support,
 )
-from .layered import LayeredGraph, as_plain_graph, build_gk
+from .layered import LayeredGraph, build_gk
 
 
 # ---------------------------------------------------------------------------
@@ -566,13 +566,13 @@ def reg_edge_ideal(
 
 def reg_edge_ideal_layered(gk: LayeredGraph, f: FieldChoice = RATIONALS) -> int:
     """Regularity of the edge ideal of a layered graph, by the same
-    fold-free sweep as `reg_edge_ideal` on G_k relabelled 1..n*k. Within a
-    grid column the neighbourhoods shrink as the layer grows, so a swept
-    subset holds at most one vertex per column. Unguarded: its caller
+    fold-free sweep as `reg_edge_ideal` on G_k's grid-order neighbour masks.
+    Within a grid column the neighbourhoods shrink as the layer grows, so a
+    swept subset holds at most one vertex per column. Unguarded: its caller
     `depth_symbolic_cover` bounds the n * k vertices of G_k."""
-    if not gk.edges:
+    if not any(gk.adj):
         raise InputError("regularity of an edge ideal needs at least one edge")
-    return _reg_sweep(as_plain_graph(gk)[0].adj, f.char)
+    return _reg_sweep(gk.adj, f.char)
 
 
 # memo for upper Koszul complexes: (char, live rows in vertex order) -> sparse dims

@@ -7,6 +7,9 @@ generator, the polarization of the k-th symbolic power of the cover ideal of
 g (acceptance criterion 1 checks that identity, both sides computed from
 scratch).
 
+G_k is held as its neighbour bitmasks in grid order, vertex (i, p) at bit
+(i - 1) * k + p - 1, built from g's masks in closed form (`build_gk`).
+
 The two explicit matchings built here witness ind-match(G_k) >= t
 (t = ordered matching number of g): one exists whenever the largest stable s
 is >= 2 and k >= 2t - 2s + 2, the other for ordered matchings whose b-side
@@ -18,14 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._bits import iter_bits
 from .errors import InputError
-from .graphs import (
-    Graph,
-    graph,
-    is_bipartite,
-    is_ordered_matching,
-    is_s_ordered_matching,
-)
+from .graphs import Graph, is_bipartite, is_ordered_matching, is_s_ordered_matching
 
 LayeredVertex = tuple[int, int]
 LayeredEdge = tuple[LayeredVertex, LayeredVertex]
@@ -33,71 +31,69 @@ LayeredEdge = tuple[LayeredVertex, LayeredVertex]
 
 @dataclass(frozen=True)
 class LayeredGraph:
-    """The graph G_k on the full (i, p) grid."""
+    """The graph G_k on the full (i, p) grid. `adj[v]` is the neighbour
+    bitmask of grid vertex v = (i - 1) * k + p - 1, in the same order."""
 
     base_n: int
     k: int
-    edges: frozenset[LayeredEdge]
+    adj: tuple[int, ...]
 
     @property
     def vertices(self) -> list[LayeredVertex]:
-        return [
-            (i, p)
-            for i in range(1, self.base_n + 1)
-            for p in range(1, self.k + 1)
-        ]
+        return [(i, p) for i in range(1, self.base_n + 1) for p in range(1, self.k + 1)]
+
+    def _bit(self, v: LayeredVertex) -> int | None:
+        """The grid index of label v, or None off the grid."""
+        i, p = v
+        return (i - 1) * self.k + p - 1 if 1 <= i <= self.base_n and 1 <= p <= self.k else None
 
     def has_edge(self, a: LayeredVertex, b: LayeredVertex) -> bool:
-        return (min(a, b), max(a, b)) in self.edges
+        u, v = self._bit(a), self._bit(b)
+        return u is not None and v is not None and bool(self.adj[u] >> v & 1)
+
+    def _index_edges(self) -> list[tuple[int, int]]:
+        """The edges as grid-index pairs u < v, in increasing order."""
+        return [(u, v) for u, m in enumerate(self.adj)
+                for v in iter_bits(m >> u + 1 << u + 1)]
 
     def sorted_edges(self) -> list[LayeredEdge]:
-        return sorted(self.edges)
+        grid = self.vertices
+        return [(grid[u], grid[v]) for u, v in self._index_edges()]
 
 
 def build_gk(g: Graph, k: int) -> LayeredGraph:
-    """Construct the layered graph of g at level k."""
+    """Construct the layered graph of g at level k. The neighbours of (i, p)
+    are layers 1..k+1-p of each column j adjacent to i: one run of k + 1 - p
+    bits at (j - 1) * k, so a column's bit pattern times 2^(k+1-p) - 1."""
     if k < 1:
         raise InputError("layered graph needs k >= 1")
-    edges = set()
-    for i, j in g.sorted_edges():
-        for p in range(1, k + 1):
-            for q in range(1, k + 2 - p):
-                a, b = (i, p), (j, q)
-                edges.add((min(a, b), max(a, b)))
-    return LayeredGraph(g.n, k, frozenset(edges))
+    spread = [sum(1 << j * k for j in iter_bits(m)) for m in g.adj]
+    return LayeredGraph(g.n, k, tuple(
+        s * ((1 << k + 1 - p) - 1) for s in spread for p in range(1, k + 1)))
 
 
 def as_plain_graph(gk: LayeredGraph) -> tuple[Graph, tuple[LayeredVertex, ...]]:
-    """Relabel the grid to 1..n*k (grid order); returns the graph and the
-    label tuple with labels[v-1] = (i, p)."""
-    labels = tuple(sorted(gk.vertices))
-    index = {lab: v + 1 for v, lab in enumerate(labels)}
-    plain = graph(len(labels), [(index[a], index[b]) for a, b in gk.edges])
-    return plain, labels
+    """G_k as a plain graph on 1..n*k in grid order; returns the graph and
+    the label tuple with labels[v-1] = (i, p)."""
+    plain = Graph(len(gk.adj), frozenset((u + 1, v + 1) for u, v in gk._index_edges()))
+    return plain, tuple(gk.vertices)
 
 
 def is_induced_matching_layered(gk: LayeredGraph, pairs) -> bool:
     """Check that the given layered vertex pairs form an induced matching of
-    G_k: pairwise disjoint edges spanning no further edge of G_k.
+    G_k: pairwise disjoint edges, so each covers two new vertices, and each
+    covered vertex has exactly one covered neighbour, its partner.
 
-    Every pair must be an edge of G_k; anything else raises InputError.
+    Every pair must be an edge of G_k; anything else, a label off the grid
+    included, raises InputError.
     """
-    seen: set[LayeredVertex] = set()
+    covered = 0
     for a, b in pairs:
         if not gk.has_edge(a, b):
             raise InputError(f"pair {(a, b)} is not an edge of the layered graph")
-        if a in seen or b in seen:
-            return False
-        seen.update((a, b))
-    verts = sorted(seen)
-    span = {
-        (u, v)
-        for ui, u in enumerate(verts)
-        for v in verts[ui + 1 :]
-        if gk.has_edge(u, v)
-    }
-    wanted = {(min(a, b), max(a, b)) for a, b in pairs}
-    return span == wanted
+        covered |= 1 << gk._bit(a) | 1 << gk._bit(b)
+    return covered.bit_count() == 2 * len(pairs) and all(
+        (gk.adj[v] & covered).bit_count() == 1 for v in iter_bits(covered))
 
 
 def proof_matching_main(g: Graph, cert, s: int, k: int) -> list[LayeredEdge]:

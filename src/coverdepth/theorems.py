@@ -234,7 +234,7 @@ def verify_whisker(
     partition pi of g yields a graph whose symbolic cover-ideal depth is
     n + m - alpha(g) - 1 at k = 1 and n - 1 for every k >= 2 (n = |V(g)|,
     m = number of blocks), and whose ordered matching number is m with an
-    m-ordered certificate."""
+    m-ordered certificate. Depth is read at k = 1..max(2, k_max)."""
     if k_max < 1:
         raise InputError("k_max must be >= 1")
     w = whisker(g, pi)
@@ -255,7 +255,7 @@ def verify_whisker(
     s_w = profile.best(m)[0] or "-inf"
     if s_w != m:
         failures["m_ordered_certificate"] = {"expected": m, "computed": s_w}
-    depths, guard_hit = _depths(w, range(1, k_max + 1), f, guard)
+    depths, guard_hit = _depths(w, range(1, max(2, k_max) + 1), f, guard)
     expected = {
         k: (g.n + m - alpha - 1 if k == 1 else g.n - 1) for k in depths
     }
@@ -297,8 +297,7 @@ def verify_regind(
         except GuardError as err:
             guard_notes[f"k={k}"] = str(err)
             continue
-        plain, _labels = as_plain_graph(build_gk(g, k))
-        ind = induced_matching_number(plain)
+        ind = induced_matching_number(as_plain_graph(build_gk(g, k))[0])
         checked[f"k={k}"] = {"reg": reg, "ind_match": ind, "expected": t + 1}
         if not (reg == ind + 1 == t + 1):
             failures[f"k={k}"] = {"reg": reg, "ind_match_plus_1": ind + 1,
@@ -349,7 +348,7 @@ def verify_bipartite(
     """Bipartite graphs: symbolic and ordinary cover-ideal powers agree for
     k <= k_max, and the depth already sits at its limit n - t - 1 for every
     k from t = ord-match(g) on (so the powers, symbolic or not, stabilize
-    no later than t)."""
+    no later than t). Depth is read at k = t..max(t, k_max)."""
     if not is_bipartite(g):
         raise InputError("graph must be bipartite")
     _require_no_isolated(g)
@@ -365,7 +364,7 @@ def verify_bipartite(
         powers_equal[k] = same
         if not same:
             failures[f"symbolic vs ordinary at k={k}"] = {"equal": False}
-    depths, guard_hit = _depths(g, range(t, k_max + 1), f, guard)
+    depths, guard_hit = _depths(g, range(t, max(t, k_max) + 1), f, guard)
     limit = g.n - t - 1
     for k, depth in depths.items():
         if depth != limit:
@@ -380,12 +379,15 @@ def verify_bipartite(
 
 
 def _witness(g: Graph, k: int, cert: Sequence, matching: Sequence) -> dict:
-    """Report entry of a proof matching on G_k built from `cert`."""
+    """Report entry of a proof matching on G_k built from `cert`; a pair off
+    G_k's edges is a faulty construction, so not induced, not bad input."""
+    gk = build_gk(g, k)
     return {
         "k": k,
         "certificate": [list(p) for p in cert],
         "matching": [[list(a), list(b)] for a, b in matching],
-        "induced": is_induced_matching_layered(build_gk(g, k), matching),
+        "induced": all(gk.has_edge(a, b) for a, b in matching)
+        and is_induced_matching_layered(gk, matching),
         "size": len(matching),
     }
 

@@ -217,6 +217,22 @@ def brute_minimal_vertex_covers(n: int, edges: set[tuple[int, int]]) -> list[fro
     return sorted(minimal, key=lambda c: (len(c), sorted(c)))
 
 
+def layered_by_definition(n: int, edges: set[tuple[int, int]], k: int):
+    """G_k edge by edge from its definition, over every pair of grid
+    vertices: (i, p) ~ (j, q) iff ij is an edge and p + q <= k + 1. Returns
+    the sorted edge list and the neighbour masks in grid order, vertex
+    (i, p) at bit (i - 1) * k + p - 1."""
+    grid = [(i, p) for i in range(1, n + 1) for p in range(1, k + 1)]
+    gk_edges = [(a, b) for a, b in itertools.combinations(grid, 2)
+                if (a[0], b[0]) in edges and a[1] + b[1] <= k + 1]
+    pos = {v: x for x, v in enumerate(grid)}
+    adj = [0] * len(grid)
+    for a, b in gk_edges:
+        adj[pos[a]] |= 1 << pos[b]
+        adj[pos[b]] |= 1 << pos[a]
+    return gk_edges, tuple(adj)
+
+
 # ---------------------------------------------------------------------------
 # monomial ideals over x1..xn: monomials are exponent tuples
 # ---------------------------------------------------------------------------
@@ -441,11 +457,12 @@ def layered_cover_ideal(gk: LayeredGraph) -> MonomialIdeal:
     """Cover ideal of G_k in the layered ring on the full grid: the
     Alexander dual of its edge ideal, whose generators are the minimal
     vertex covers."""
-    if not gk.edges:
+    edges = gk.sorted_edges()
+    if not edges:
         raise InputError("cover ideal needs at least one edge")
     ring = layered_ring(gk.vertices)
     gens = []
-    for a, b in gk.edges:
+    for a, b in edges:
         exps = [0] * ring.num_vars
         exps[ring.index(a)] = exps[ring.index(b)] = 1
         gens.append(tuple(exps))

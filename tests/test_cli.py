@@ -472,6 +472,41 @@ def test_gk_output(files, capsys):
     assert data["n"] == 4 and data["k"] == 2 and len(data["edges"]) == 9
 
 
+GK_PINS = [
+    # (graph text, k, text output, sha256 of the JSON output)
+    (P4_TEXT, 2,
+     "n 4 k 2\n1_1 2_1\n1_1 2_2\n1_2 2_1\n2_1 3_1\n2_1 3_2\n2_2 3_1\n"
+     "3_1 4_1\n3_1 4_2\n3_2 4_1\n",
+     "b3c3cabf77960f418071373f577765b8bb2dacf91dc03e51e6889c5405b56d63"),
+    ("n 5\n1 2\n2 3\n3 4\n4 5\n1 5\n", 3,
+     "n 5 k 3\n"
+     "1_1 2_1\n1_1 2_2\n1_1 2_3\n1_1 5_1\n1_1 5_2\n1_1 5_3\n"
+     "1_2 2_1\n1_2 2_2\n1_2 5_1\n1_2 5_2\n1_3 2_1\n1_3 5_1\n"
+     "2_1 3_1\n2_1 3_2\n2_1 3_3\n2_2 3_1\n2_2 3_2\n2_3 3_1\n"
+     "3_1 4_1\n3_1 4_2\n3_1 4_3\n3_2 4_1\n3_2 4_2\n3_3 4_1\n"
+     "4_1 5_1\n4_1 5_2\n4_1 5_3\n4_2 5_1\n4_2 5_2\n4_3 5_1\n",
+     "ad3b875afdaa94154652f5e36f0d0f0971b13d7e5c31e0f7024698cda0fafb00"),
+    ("n 3\n", 2, "n 3 k 2\n",
+     "acfeb0103fdc53fe8a10197ff96ab22e9088467d2b80c67c74bf8c9286b013cb"),
+]
+
+
+@pytest.mark.parametrize("text, k, want_text, want_json", GK_PINS,
+                         ids=["P4-k2", "C5-k3", "edgeless3-k2"])
+def test_gk_output_pinned(tmp_path, capsys, text, k, want_text, want_json):
+    """`gk` text and JSON, byte for byte: edges in grid order, each as
+    (column, layer) pairs, the lower endpoint first."""
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    assert main(["gk", str(path), str(k)]) == 0
+    assert capsys.readouterr().out == want_text
+    assert main(["gk", str(path), str(k), "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == want_json
+    edges = [line.split() for line in want_text.splitlines()[1:]]
+    assert [[f"{a}_{b}" for a, b in e] for e in json.loads(out)["edges"]] == edges
+
+
 def test_depth_output(files, capsys):
     assert main(["depth", files["k2"], "5"]) == 0
     assert capsys.readouterr().out == (

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coverdepth import cli, homology
+from coverdepth import cli, graphs, homology, layered
 from coverdepth._bits import iter_bits
 from coverdepth.errors import (
     DEFAULT_TAYLOR_GUARD,
@@ -741,6 +741,23 @@ def test_depth_symbolic_cover_examples():
     assert depth_symbolic_cover(THREE_K2, 3) == 2
     assert depth_symbolic_cover(cycle(6), 3) == 3
     assert depth_symbolic_cover(K33, 2) == 4
+
+
+def test_depth_symbolic_cover_builds_no_plain_graph(monkeypatch):
+    """Route B sweeps G_k's grid-order masks as `build_gk` makes them: a
+    depth call, from cold memos, relabels nothing into a plain `Graph`."""
+    graphs_in = [(cycle(6), 3), (K33, 2), (path(4), 2)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a depth call built a plain graph")
+
+    for module in (layered, homology):
+        monkeypatch.setattr(module, "as_plain_graph", refuse, raising=False)
+    monkeypatch.setattr(graphs, "graph", refuse)
+    monkeypatch.setattr(Graph, "__post_init__", refuse)
+    monkeypatch.setattr(homology, "_KOSZUL_DIMS", {})
+    monkeypatch.setattr(homology, "_COMPONENT_DIMS", {})
+    assert [depth_symbolic_cover(g, k) for g, k in graphs_in] == [3, 4, 1]
 
 
 def test_depth_symbolic_cover_errors():

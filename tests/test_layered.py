@@ -1,12 +1,14 @@
 """Layered graphs G_k, the polarization identity, and the explicit matchings.
 
-Frozen matchings were validated with is_induced_matching_layered's exhaustive
-cross-edge scan; the cover-ideal identity is asserted by computing both sides
-from scratch (polarize the symbolic power vs. minimal covers of G_k).
+Frozen matchings were validated with is_induced_matching_layered, which is
+checked against the definition of G_k here; the cover-ideal identity is
+asserted by computing both sides from scratch (polarize the symbolic power
+vs. minimal covers of G_k).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import pytest
@@ -20,6 +22,7 @@ from coverdepth.graphs import (
     graph,
     induced_matching_number,
     is_bipartite,
+    isomorphism_classes,
     largest_stable_s,
     ordered_matching_number,
     ordered_profile,
@@ -39,6 +42,7 @@ from _oracles import (
     brute_ordered_matchings,
     check_polarization_identity,
     label_sets,
+    layered_by_definition,
     layered_cover_ideal,
 )
 
@@ -100,7 +104,45 @@ def test_build_gk_edge_count():
     for g in (path(4), cycle(5), K33):
         m = len(g.edges)
         for k in (1, 2, 3):
-            assert len(build_gk(g, k).edges) == m * k * (k + 1) // 2
+            assert len(build_gk(g, k).sorted_edges()) == m * k * (k + 1) // 2
+
+
+@functools.cache
+def _gk_cases() -> list:
+    """(g, k, edges, masks) for every graph class on at most six vertices
+    at k = 1..4, G_k read off `layered_by_definition`."""
+    return [(g, k, *layered_by_definition(g.n, g.edges, k))
+            for g in isomorphism_classes(6) for k in range(1, 5)]
+
+
+def _gk_mismatches(build) -> list:
+    """The (g, k) of `_gk_cases` whose `build(g, k)` differs from the
+    definition in its sorted edges or its grid-order masks."""
+    return [(g, k) for g, k, edges, adj in _gk_cases()
+            if build(g, k).adj != adj or build(g, k).sorted_edges() != edges]
+
+
+def _closed_form(g, k, run=lambda k, p: k + 1 - p, offset=lambda j, k: (j - 1) * k):
+    """G_k by the closed form, one run of `run(k, p)` bits at `offset(j, k)`
+    per neighbour column j, with either part open to a planted fault."""
+    return LayeredGraph(g.n, k, tuple(
+        sum((1 << run(k, p)) - 1 << offset(j, k) for j in g.vertices if g.has_edge(i, j))
+        for i in g.vertices for p in range(1, k + 1)))
+
+
+def test_build_gk_matches_the_definition():
+    assert len(_gk_cases()) == 4 * 208
+    assert _gk_mismatches(build_gk) == []
+    assert _gk_mismatches(_closed_form) == []
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [{"run": lambda k, p: k + 2 - p}, {"offset": lambda j, k: (j + 1) * k}],
+    ids=["run-one-layer-too-long", "column-offset-two-too-far"],
+)
+def test_gk_reference_catches_a_planted_fault(fault):
+    assert _gk_mismatches(functools.partial(_closed_form, **fault))
 
 
 def test_build_gk_validation():
@@ -112,7 +154,7 @@ def test_build_gk_keeps_isolated_columns():
     # vertex 3 is isolated; its grid column exists but carries no edges
     gk = build_gk(graph(3, [(1, 2)]), 2)
     assert (3, 1) in gk.vertices and (3, 2) in gk.vertices
-    assert all(3 not in (a[0], b[0]) for a, b in gk.edges)
+    assert all(3 not in (a[0], b[0]) for a, b in gk.sorted_edges())
 
 
 def test_layered_graph_is_value_like():
@@ -190,6 +232,39 @@ def test_induced_checker_rejects_non_edges():
         is_induced_matching_layered(gk, [((1, 2), (2, 2))])  # layers 2+2 > 3
     with pytest.raises(InputError):
         is_induced_matching_layered(gk, [((1, 1), (2, 5))])  # off the grid
+
+
+@pytest.mark.parametrize("g, k", [(path(4), 2), (cycle(5), 3), (BULL, 2)],
+                         ids=["P4-k2", "C5-k3", "bull-k2"])
+def test_induced_checker_matches_the_definition(g, k):
+    """Every list of at most three edges of G_k: induced exactly when the
+    pairs are disjoint and the edges among their ends are the pairs alone,
+    read off `layered_by_definition`."""
+    edges, _adj = layered_by_definition(g.n, g.edges, k)
+    for r in range(4):
+        for pairs in itertools.combinations_with_replacement(edges, r):
+            ends = [v for e in pairs for v in e]
+            want = len(set(ends)) == 2 * r and {
+                e for e in edges if e[0] in ends and e[1] in ends} == set(pairs)
+            assert is_induced_matching_layered(build_gk(g, k), list(pairs)) is want, pairs
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [((1, 1), (1, 3)), ((2, 1), (2, 0)), ((0, 1), (3, 1))],
+    ids=["layer-past-k", "layer-0", "column-0"],
+)
+def test_induced_checker_rejects_off_grid_aliases(pair):
+    """Labels off the grid are no vertices, even where the grid index
+    formula would land on a neighbour. On P4 at k = 2, (1, 3) would index
+    (2, 1), a neighbour of (1, 1); (2, 0) would index (1, 2), a neighbour
+    of (2, 1); and (0, 1) has a negative index, which a tuple lookup would
+    wrap round to (4, 1), a neighbour of (3, 1)."""
+    gk = build_gk(path(4), 2)
+    a, b = pair
+    assert not gk.has_edge(a, b) and not gk.has_edge(b, a)
+    with pytest.raises(InputError):
+        is_induced_matching_layered(gk, [pair])
 
 
 def test_ind_match_of_layered_p4():

@@ -135,6 +135,16 @@ def test_verify_whisker_examples():
     assert triangle.details["m"] == 1 and triangle.details["alpha"] == 1
 
 
+def test_whisker_checks_the_k_2_clause_when_k_max_is_1():
+    """At k_max = 1 the whiskered depth is still read at k = 2, where it
+    must equal n - 1 (k = 1 gives n + m - alpha - 1). K2 whiskered at both
+    vertices reads 2 at k = 1 and 1 at k = 2."""
+    out = verify_whisker(path(2), [(1,), (2,)], k_max=1)
+    assert out.passed and out.instance["k_max"] == 1
+    assert out.details["depths"] == {"1": 2, "2": 1}
+    assert out.details["expected_depths"] == {"1": 2, "2": 1}
+
+
 def test_verify_whisker_errors_and_guard():
     with pytest.raises(InputError):
         verify_whisker(path(3), [(1, 3), (2,)])  # block is not a clique
@@ -233,6 +243,15 @@ def test_verify_bipartite_examples():
     assert c6.details["t"] == 2 and c6.details["depths"] == {"2": 3, "3": 3}
 
 
+def test_bipartite_checks_depth_at_t_when_k_max_is_below_it():
+    """At k_max = 1 the depth clause still reads k = t. P4 has t = 2, so
+    its report holds depth 1 = n - t - 1 at k = 2, and the powers at k = 1."""
+    p4 = verify_bipartite(path(4), k_max=1)
+    assert p4.passed
+    assert p4.details["symbolic_equals_ordinary"] == {"1": True}
+    assert p4.details["depths"] == {"2": 1}
+
+
 def test_verify_bipartite_errors():
     with pytest.raises(InputError):
         verify_bipartite(complete(3))
@@ -287,6 +306,26 @@ def test_proof_matchings_fail_on_a_certificate_one_pair_short(monkeypatch):
     assert out.details["t"] == 3 and out.details["s"] == 2
     assert out.details["main"]["induced"] and out.details["main"]["size"] == 2
     assert out.details["bipartite"]["size"] == 3  # its certificate is untouched
+
+
+def test_proof_matching_off_g_k_fails_and_exits_1(monkeypatch, capsys):
+    """A construction fault that puts a pair off G_k's edges is a failed
+    check, reported as `"induced": false` with exit 1; the input is fine,
+    so it is not a rejected input (exit 2). The fault moves the first
+    pair's second endpoint of the main matching to layer k + 1."""
+    build = theorems.proof_matching_main
+
+    def off_grid(g, cert, s, k):
+        (a, (b, _layer)), *rest = build(g, cert, s, k)
+        return [(a, (b, k + 1)), *rest]
+
+    monkeypatch.setattr(theorems, "proof_matching_main", off_grid)
+    argv = ["verify", "proofmatch", "--max-vertices", "4", "--format", "json"]
+    assert cli.main(argv) == 1
+    report = json.loads(capsys.readouterr().out)
+    built = [o for o in report if "k" in o["details"].get("main", {})]
+    assert built and all(o["status"] == "failed" for o in built)
+    assert all(o["details"]["main"]["induced"] is False for o in built)
 
 
 def test_clique_partitions():
