@@ -131,16 +131,29 @@ def independence_number(g: Graph) -> int:
 
 
 def induced_matching_number(g: Graph) -> int:
-    """Largest number of edges forming an induced matching: the largest
-    clique of the edge-compatibility graph, where f is compatible with e
-    iff f misses e's closed neighbourhood."""
-    edges = g.sorted_edges()
-    ends = [1 << (u - 1) | 1 << (v - 1) for u, v in edges]
-    compat = [0] * len(edges)
-    for i, (u, v) in enumerate(edges):
-        closed = g.adj[u - 1] | g.adj[v - 1]  # u and v are each other's neighbours
-        for j in range(i + 1, len(edges)):
-            if not ends[j] & closed:
+    """Largest number of edges of g forming an induced matching
+    (`induced_matching_of_masks` on g's masks)."""
+    return induced_matching_of_masks(g.adj)
+
+
+def induced_matching_of_masks(adj: Sequence[int]) -> int:
+    """Largest number of edges forming an induced matching of the graph
+    with neighbour masks `adj`: the largest clique of the
+    edge-compatibility graph, where f is compatible with e iff f misses e's
+    closed neighbourhood. Edges are taken in increasing order of (u, v)."""
+    ends = []
+    closed = []  # each edge's closed neighbourhood: its ends are each other's neighbours
+    for u, row in enumerate(adj):
+        above = row >> u + 1 << u + 1
+        while above:
+            low = above & -above
+            above ^= low
+            ends.append(1 << u | low)
+            closed.append(row | adj[low.bit_length() - 1])
+    compat = [0] * len(ends)
+    for i, near in enumerate(closed):
+        for j in range(i + 1, len(ends)):
+            if not ends[j] & near:
                 compat[i] |= 1 << j
                 compat[j] |= 1 << i
     return _max_clique(compat)

@@ -6,8 +6,9 @@ restricted-complex homology over vertex subsets, and pd / reg / depth are
 read off the Betti table (depth through the projective-dimension complement
 in the original variable count). Every face list, the independent sets of
 a graph included, comes from one bitmask walk, `_faces_by_dim`; only the
-edge-ideal regularity sweep walks its subsets itself, because it prunes them
-by size and by the link of their top vertex (`_reg_sweep`).
+two edge-ideal regularity walks choose their subsets themselves, because
+they prune them: the subset sweep of `reg_edge_ideal` (`_reg_sweep`) and
+route B's column walk of the layered graph G_k (`_column_walk`).
 
 Two independent cross-checks keep the main engine honest. The Taylor
 oracle (`taylor_betti_oracle`) minimalizes the generator-subset resolution
@@ -43,6 +44,22 @@ results:
   the best outside N[v] is skipped. Every degree read that could raise the
   best is checked against this link bound too, with ConsistencyError on a
   breach;
+* route B walks G_k column by column (`_column_walk`), each column
+  holding no vertex or one layer, and reads each face as the sweep does,
+  link filter and both checks included. N((i, p)) is layers 1..k+1-p of
+  the columns N_g(i), so (i, p) and (j, q), i != j, are nested exactly
+  when N_g(i) or N_g(j) is empty, or N_g(i) <= N_g(j) and q <= p (or the
+  same with i and j swapped): the nesting masks come from g's masks, and
+  the layers a column still offers form one run. Three cuts drop a node
+  with everything below it. Size: (|W| + later columns with a candidate)
+  // 2 <= best, exact by the quadric bound as a column adds at most one
+  vertex. Cone: once the last column of x and its neighbours in g is
+  decided, x's chosen vertex has its final neighbours in every face below;
+  with none, each is a cone. Fold: once a closed chosen b has
+  N_W(b) <= N_W(a) for a chosen a, every face W' below keeps it (N_W(b) is
+  final, N_W(a) only grows), so the fold lemma gives W' the homology of
+  W' - a, a face of the branch that leaves a's column empty; each
+  deferral shrinks the face, so none comes back to itself;
 * route A of the depth check (`_pd_symbolic_cover`) stops at the same
   bound: each upper Koszul complex K^b is the independence complex of a
   graph on its live vertices, so a point b can raise pd to d + 2 only if
@@ -477,6 +494,34 @@ def taylor_betti_oracle(
 # regularity and depth
 # ---------------------------------------------------------------------------
 
+def _read_face(adj: tuple[int, ...], face: int, size: int, char: int, best: int) -> int:
+    """The best d + 1 so far after reading the face `face` of `size`
+    vertices: evaluated only if the link of its top vertex v leaves at least
+    2 * best vertices outside N[v] (the link filter of `_reg_sweep`). Every
+    degree read is checked against the quadric bound |W| >= 2d + 2, and
+    every degree d >= best against the link bound |W \\ N[v]| >= 2d; a
+    breach raises ConsistencyError."""
+    v = face.bit_length() - 1
+    link = (face & ~adj[v]).bit_count() - 1
+    if link < 2 * best:
+        return best
+    floor = best
+    for d in _ind_dims(adj, face, char):
+        if 2 * d + 2 > size:
+            raise ConsistencyError(
+                f"homology of degree {d} on {size} vertices breaks the "
+                f"quadric bound |W| >= 2d + 2"
+            )
+        if d >= floor and 2 * d > link:
+            raise ConsistencyError(
+                f"homology of degree {d} on {size} vertices, {link} "
+                f"of them off the top vertex's closed neighbourhood, "
+                f"breaks the link bound |W \\ N[v]| >= 2d"
+            )
+        best = max(best, d + 1)
+    return best
+
+
 def _reg_sweep(adj: tuple[int, ...], char: int) -> int:
     """Edge-ideal regularity of the graph with neighbour masks `adj`: one
     more than the largest d + 1 with nonzero reduced homology of degree d
@@ -522,23 +567,7 @@ def _reg_sweep(adj: tuple[int, ...], char: int) -> int:
         if (size + candidates.bit_count()) // 2 <= best:
             continue
         if size // 2 > best:
-            v = face.bit_length() - 1
-            link = (face & ~adj[v]).bit_count() - 1
-            floor = best
-            if link >= 2 * floor:
-                for d in _ind_dims(adj, face, char):
-                    if 2 * d + 2 > size:
-                        raise ConsistencyError(
-                            f"homology of degree {d} on {size} vertices breaks the "
-                            f"quadric bound |W| >= 2d + 2"
-                        )
-                    if d >= floor and 2 * d > link:
-                        raise ConsistencyError(
-                            f"homology of degree {d} on {size} vertices, {link} "
-                            f"of them off the top vertex's closed neighbourhood, "
-                            f"breaks the link bound |W \\ N[v]| >= 2d"
-                        )
-                    best = max(best, d + 1)
+            best = _read_face(adj, face, size, char, best)
         above = 0  # candidates above the current one
         while candidates:  # highest first, so the lowest is walked next
             v = candidates.bit_length() - 1
@@ -564,15 +593,113 @@ def reg_edge_ideal(
     return _reg_sweep(g.adj, f.char)
 
 
+def _common_neighbours(adj, mask: int) -> int:
+    """The vertices adjacent to every vertex of the nonempty mask `mask`."""
+    common = -1
+    while mask:
+        low = mask & -mask
+        common &= adj[low.bit_length() - 1]
+        mask ^= low
+    return common
+
+
+def _closing_cuts(adj, face: int, shut: int, dom: int, shared: dict[int, int]) -> int:
+    """The cone and fold cuts of `_column_walk` at the chosen vertices
+    `shut` of `face` that the column just decided closes: -1 if the node
+    is dropped, else `dom` with each closing b's common neighbours of
+    N_W(b) added, b left out. `shared` memoizes common neighbours."""
+    while shut:
+        b = shut & -shut
+        shut ^= b
+        nbrs = adj[b.bit_length() - 1] & face
+        if not nbrs:
+            return -1  # cone cut: b is isolated in every face below
+        common = shared.get(nbrs)
+        if common is None:
+            common = shared[nbrs] = _common_neighbours(adj, nbrs)
+        common &= ~b
+        if common & face:
+            return -1  # fold cut: a chosen vertex's neighbours hold N_W(b)
+        dom |= common
+    return dom
+
+
+def _column_walk(gk: LayeredGraph, char: int) -> int:
+    """reg(I(G_k)) from G_k's grid-order masks, over the fold-free subsets
+    W, which hold at most one vertex per grid column (module notes). The
+    walk decides the columns in order, each holding no vertex or one layer
+    not nested with a chosen vertex (`up[v]`: the later vertices nested
+    with v). A face is read at the node that adds its top vertex, as
+    `_reg_sweep` reads it (`_read_face`). A node is dropped by the size cut,
+    and, once a column closes chosen vertices, by the cone and fold cuts
+    (`_closing_cuts`). `dom` holds every vertex adjacent to all of some
+    closed N_W(b), b left out: adding one would fold, so none is added.
+    """
+    n, k, adj = gk.base_n, gk.k, gk.adj
+    run = (1 << k) - 1
+    rows = adj[::k]  # layer 1 of each column: every layer of its neighbour columns
+    cols = [i for i in range(n) if rows[i]]  # isolated columns only ever make cones
+    up = [0] * len(adj)
+    closing = [0] * n  # column -> every vertex of the columns it closes
+    firsts = 0  # the first bit of each walk column
+    for c, i in enumerate(cols):
+        row = rows[i]
+        firsts |= 1 << i * k
+        sub = sup = 0  # later columns j with N_g(i) <= N_g(j), and with N_g(j) <= N_g(i)
+        for j in cols[c + 1:]:
+            if not row & ~rows[j]:
+                sub |= 1 << j * k
+            if not rows[j] & ~row:
+                sup |= 1 << j * k
+        for p in range(k):  # layer p + 1: layers 1..p + 1 under sub, p + 1..k under sup
+            up[i * k + p] = sub * ((2 << p) - 1) | sup * (run >> p << p)
+        closing[max(i, (row.bit_length() - 1) // k)] |= run << i * k
+    steps = [(i * k, closing[i]) for i in cols]
+    smear = [1 << s for s in range(k.bit_length() - 1)]  # shifts OR-ing k bits into the first
+    if k > 1 << len(smear):
+        smear.append(k - (1 << len(smear)))
+    shared: dict[int, int] = {}
+    best = 0
+    stack = [(0, 0, firsts * run, 0)]  # face, next column, candidates, dom
+    while stack:
+        face, start, cand, dom = stack.pop()  # the face's top vertex was just added
+        size = face.bit_count()
+        if size // 2 > best:
+            best = _read_face(adj, face, size, char, best)
+        live = cand  # the columns with a candidate left, at their first bits
+        for s in smear:
+            live |= live >> s
+        live &= firsts
+        for c in range(start, len(steps)):
+            shift, closes = steps[c]
+            if (size + (live >> shift).bit_count()) // 2 <= best:
+                break  # size cut
+            layers = cand >> shift & run  # one run: nesting cuts layers from its ends
+            while layers:  # the highest layer first, so the lowest pops first
+                v = shift + layers.bit_length() - 1
+                layers ^= 1 << v - shift
+                if dom >> v & 1:
+                    continue  # fold cut
+                grown = face | 1 << v
+                shut = grown & closes
+                more = _closing_cuts(adj, grown, shut, dom, shared) if shut else dom
+                if more >= 0:
+                    stack.append((grown, c + 1, cand & ~up[v], more))
+            shut = face & closes  # no vertex in column c: walked on at once
+            if shut:
+                dom = _closing_cuts(adj, face, shut, dom, shared)
+                if dom < 0:
+                    break
+    return best + 1
+
+
 def reg_edge_ideal_layered(gk: LayeredGraph, f: FieldChoice = RATIONALS) -> int:
-    """Regularity of the edge ideal of a layered graph, by the same
-    fold-free sweep as `reg_edge_ideal` on G_k's grid-order neighbour masks.
-    Within a grid column the neighbourhoods shrink as the layer grows, so a
-    swept subset holds at most one vertex per column. Unguarded: its caller
-    `depth_symbolic_cover` bounds the n * k vertices of G_k."""
+    """Regularity of the edge ideal of a layered graph, route B of
+    `depth_symbolic_cover`, by the column walk of G_k (`_column_walk`).
+    Unguarded: its caller bounds the n * k vertices of G_k."""
     if not any(gk.adj):
         raise InputError("regularity of an edge ideal needs at least one edge")
-    return _reg_sweep(gk.adj, f.char)
+    return _column_walk(gk, f.char)
 
 
 # memo for upper Koszul complexes: (char, live rows in vertex order) -> sparse dims
@@ -665,14 +792,16 @@ def depth_symbolic_cover(
        the unpolarized symbolic power (`_pd_symbolic_cover`, Miller-Sturmfels
        Thm 1.34 and the slack rule);
     B. (vertex count) - reg(I(G_k)) on the layered graph, converting the
-       depth question into edge-ideal regularity.
+       depth question into edge-ideal regularity, read by a walk over
+       G_k's grid columns (`reg_edge_ideal_layered`).
 
     The routes share only the face walk (route B reaches it through
     `_component_dims`), `_dims_from_faces` and `rank`. Both prune by the
-    same quadric size bound, but each checks every degree it reads against
-    that bound itself; route B also filters by, and checks, the link bound
-    of `_reg_sweep`. A disagreement is an internal error, never resolved
-    silently.
+    same quadric size bound and cut a branch once a vertex's closed
+    neighbourhood is decided, but each has its own walk and closing table
+    and checks every degree it reads against that bound itself; route B's
+    column walk also filters by, and checks, the link bound. A
+    disagreement is an internal error, never resolved silently.
     """
     if not g.edges:
         raise InputError("needs a graph with at least one edge")

@@ -35,6 +35,7 @@ from .graphs import (
     OrderedProfile,
     independence_number,
     induced_matching_number,
+    induced_matching_of_masks,
     is_bipartite,
     isolated_vertices,
     isomorphism_classes,
@@ -45,7 +46,6 @@ from .graphs import (
 from .homology import RATIONALS, FieldChoice
 from .ideals import cover_ideal, power, symbolic_power_cover
 from .layered import (
-    as_plain_graph,
     build_gk,
     is_induced_matching_layered,
     proof_matching_bipartite,
@@ -297,7 +297,7 @@ def verify_regind(
         except GuardError as err:
             guard_notes[f"k={k}"] = str(err)
             continue
-        ind = induced_matching_number(as_plain_graph(build_gk(g, k))[0])
+        ind = induced_matching_of_masks(build_gk(g, k).adj)
         checked[f"k={k}"] = {"reg": reg, "ind_match": ind, "expected": t + 1}
         if not (reg == ind + 1 == t + 1):
             failures[f"k={k}"] = {"reg": reg, "ind_match_plus_1": ind + 1,

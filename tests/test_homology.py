@@ -7,7 +7,10 @@ strand-by-strand. Frozen values below were cross-checked between the two.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import itertools
+import operator
 import random
 import sys
 from collections import defaultdict
@@ -640,6 +643,74 @@ def test_fold_free_sweep_matches_unpruned_reference():
             assert reg_edge_ideal_layered(gk, f) == want, (gk, f)
 
 
+@pytest.fixture(scope="module")
+def layered_six() -> dict:
+    """G_k, k = 1..4, of every isolated-free graph class on at most six
+    vertices (155 classes, 620 layered graphs), mapped to reg(I(G_k)) over
+    Q and F2 from the subset sweep `_reg_sweep`, which has none of route
+    B's column cuts."""
+    return {gk: {f.char: homology._reg_sweep(gk.adj, f.char) for f in (RATIONALS, F2)}
+            for gk in (build_gk(g, k) for g in isomorphism_classes(6) if all(g.adj)
+                       for k in range(1, 5))}
+
+
+def _plant(monkeypatch, name: str, old: str, new: str) -> None:
+    """Replace `homology.<name>` by its source with the one fragment `old`
+    replaced by `new`: a planted fault."""
+    source = inspect.getsource(getattr(homology, name))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(homology))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(homology, name, namespace[name])
+
+
+def _walk_mismatches(layered_six) -> int:
+    """How many of the 620 Q sweeps of `layered_six` the column walk gets
+    wrong."""
+    return sum(homology._column_walk(gk, 0) != want[0] for gk, want in layered_six.items())
+
+
+def test_column_walk_matches_the_subset_sweep(monkeypatch, layered_six):
+    """Route B's column walk, with its size, cone and fold cuts, gives the
+    regularity of the fold-free subset sweep on G_k, k = 1..4, of every
+    isolated-free class on at most six vertices, over Q and F2, starting
+    from a cold memo."""
+    monkeypatch.setattr(homology, "_COMPONENT_DIMS", {})
+    for gk, want in layered_six.items():
+        for f in (RATIONALS, F2):
+            assert reg_edge_ideal_layered(gk, f) == want[f.char], (gk, f)
+
+
+@pytest.mark.parametrize(
+    "name, old, new",
+    [
+        # closing one column early, never before the closed vertex's own column
+        ("_column_walk", "(row.bit_length() - 1) // k)", "(row.bit_length() - 1) // k - 1)"),
+        # a size bound one too tight
+        ("_column_walk", "(size + (live >> shift).bit_count()) // 2 <= best",
+         "(size + (live >> shift).bit_count() - 1) // 2 <= best"),
+        # a cone cut that also fires on a vertex with one neighbour
+        ("_closing_cuts", "if not nbrs:", "if nbrs.bit_count() <= 1:"),
+    ],
+    ids=["close-early", "size-tight", "cone-one-neighbour"],
+)
+def test_column_walk_reference_catches_a_planted_cut_fault(monkeypatch, layered_six, name,
+                                                           old, new):
+    _plant(monkeypatch, name, old, new)
+    assert _walk_mismatches(layered_six)
+
+
+def test_column_walk_reference_catches_a_fold_on_overlap(monkeypatch, layered_six):
+    """A fold cut that fires when N_W(b) merely meets N_W(a): the vertices
+    adjacent to some vertex of N_W(b) stand in for those adjacent to all."""
+
+    def any_neighbours(adj, mask):
+        return functools.reduce(operator.or_, (adj[w] for w in iter_bits(mask)))
+
+    monkeypatch.setattr(homology, "_common_neighbours", any_neighbours)
+    assert _walk_mismatches(layered_six)
+
+
 def test_link_filter_cuts_evaluations(monkeypatch):
     """On the G_k of `_corpus5_layered`, the sweep gives the value of the
     sweep before the link filter (`unfiltered_reg_sweep`) and makes at most
@@ -703,18 +774,23 @@ def test_link_bound_is_tight(g):
         assert homology._reg_sweep(g.adj, f.char) == top + 2, (g, f)
 
 
-# a graph on which the fault below trips the link bound and not the quadric one
+# graphs on which the fault below trips the link bound and not the quadric
+# one: in the subset sweep, and in route B's column walk (the triangular prism)
 LINK_FAULT_GRAPH = "n 6\n1 4\n1 6\n2 3\n2 4\n2 5\n3 4\n3 5\n"
+PRISM = "n 6\n1 4\n1 5\n1 6\n2 3\n2 5\n2 6\n3 4\n3 6\n4 5\n"
 
 
 def test_sweep_checks_the_link_bound(monkeypatch, tmp_path, capsys):
     """A kernel fault that moves the top degree d of a mask up by one
     wherever |W| >= 2(d + 1) + 2 still holds passes the quadric check. On
-    this graph it reads degree 1 on the face {1, 2, 3, 4} (truly a path and
-    a point, degree 0 only) while best is 0; its top vertex 4 is adjacent
-    to the other three, so the link bound |W \\ N[v]| >= 2d fails, and the
-    sweep raises ConsistencyError naming it instead of returning a
-    regularity its filter may have cut. `coverdepth depth` exits 5."""
+    LINK_FAULT_GRAPH it reads degree 1 on the face {1, 2, 3, 4} (truly a
+    path and a point, degree 0 only) while best is 0; its top vertex 4 is
+    adjacent to the other three, so the link bound |W \\ N[v]| >= 2d fails,
+    and the sweep raises ConsistencyError naming it instead of returning a
+    regularity its filter may have cut. Route B's column walk reads the
+    whole prism (truly degree 1) as degree 2 while best is 1; its top vertex
+    6 leaves only 4 and 5 outside N[6], so the link bound fails there too,
+    and `coverdepth depth` on the prism exits 5 naming it."""
     inner = homology._ind_dims
 
     def raised(adj, mask, char):
@@ -728,10 +804,35 @@ def test_sweep_checks_the_link_bound(monkeypatch, tmp_path, capsys):
     g = cli.parse_graph_text(LINK_FAULT_GRAPH)
     with pytest.raises(ConsistencyError, match="link bound"):
         homology._reg_sweep(g.adj, 0)
+    with pytest.raises(ConsistencyError, match="link bound"):
+        reg_edge_ideal_layered(build_gk(cli.parse_graph_text(PRISM), 1))
     graph = tmp_path / "g.txt"
-    graph.write_text(LINK_FAULT_GRAPH)
+    graph.write_text(PRISM)
     assert cli.main(["depth", str(graph), "1"]) == 5
     assert "link bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_column_walk_checks_the_quadric_bound(monkeypatch, tmp_path, capsys, k):
+    """A kernel fault that moves every degree of a mask of two or more
+    vertices up by one breaks |W| >= 2d + 2 on the first face route B's
+    column walk reads, so the walk raises ConsistencyError naming the
+    quadric bound instead of returning a regularity its cuts may have
+    lost, and `coverdepth depth` exits 5 naming it. Route A does not read
+    that kernel, so only route B's own check can name the bound."""
+    inner = homology._ind_dims
+
+    def shifted(adj, mask, char):
+        dims = inner(adj, mask, char)
+        return {d + 1: c for d, c in dims.items()} if mask.bit_count() >= 2 else dims
+
+    monkeypatch.setattr(homology, "_ind_dims", shifted)
+    with pytest.raises(ConsistencyError, match="quadric bound"):
+        reg_edge_ideal_layered(build_gk(cli.parse_graph_text(PRISM), k))
+    graph = tmp_path / "g.txt"
+    graph.write_text(PRISM)
+    assert cli.main(["depth", str(graph), str(k)]) == 5
+    assert "quadric bound" in capsys.readouterr().err
 
 
 def test_depth_symbolic_cover_examples():

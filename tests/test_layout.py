@@ -34,6 +34,7 @@ BENCH_ONLY: dict[str, str] = {
     "graphs.enumerate_graphs": "a span in bench/tracer.py's LAYER_FUNCTIONS",
     "graphs.isomorphism_representatives": "a span in bench/tracer.py's LAYER_FUNCTIONS",
     "graphs.largest_stable_s": "a span in bench/tracer.py's LAYER_FUNCTIONS",
+    "layered.as_plain_graph": "a span in bench/tracer.py's LAYER_FUNCTIONS",
     "homology.betti_table_squarefree": "the betti_generic workload's Betti tables",
     "homology.taylor_betti_oracle": "the betti_generic workload's cross-check",
     "homology.reg_edge_ideal": "the regsweep6 workload's regularity",
