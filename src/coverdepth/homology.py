@@ -46,14 +46,14 @@ results:
   breach;
 * route B walks G_k column by column (`_column_walk`), each column
   holding no vertex or one layer, and reads each face as the sweep does,
-  link filter and both checks included. N((i, p)) is layers 1..k+1-p of
-  the columns N_g(i), so (i, p) and (j, q), i != j, are nested exactly
-  when N_g(i) or N_g(j) is empty, or N_g(i) <= N_g(j) and q <= p (or the
-  same with i and j swapped): the nesting masks come from g's masks, and
-  the layers a column still offers form one run. Three cuts drop a node
-  with everything below it. Size: (|W| + later columns with a candidate)
-  // 2 <= best, exact by the quadric bound as a column adds at most one
-  vertex. Cone: once the last column of x and its neighbours in g is
+  link filter and both checks included, after one edge (degree 0).
+  N((i, p)) is layers 1..k+1-p of the columns N_g(i), so (i, p) and
+  (j, q), i != j, are nested exactly when N_g(i) or N_g(j) is empty, or
+  N_g(i) <= N_g(j) and q <= p (or the same with i and j swapped): the
+  nesting masks come from g's masks, and the layers a column still
+  offers form one run. Three cuts drop a node with everything below it.
+  Size: (|W| + later columns with a candidate) // 2 <= best, exact by the
+  quadric bound as a column adds at most one vertex. Cone: once the last column of x and its neighbours in g is
   decided, x's chosen vertex has its final neighbours in every face below;
   with none, each is a cone. Fold: once a closed chosen b has
   N_W(b) <= N_W(a) for a chosen a, every face W' below keeps it (N_W(b) is
@@ -630,8 +630,10 @@ def _column_walk(gk: LayeredGraph, char: int) -> int:
     walk decides the columns in order, each holding no vertex or one layer
     not nested with a chosen vertex (`up[v]`: the later vertices nested
     with v). A face is read at the node that adds its top vertex, as
-    `_reg_sweep` reads it (`_read_face`). A node is dropped by the size cut,
-    and, once a column closes chosen vertices, by the cone and fold cuts
+    `_reg_sweep` reads it (`_read_face`), after one edge, whose two points
+    give degree 0: the walk starts from best = 1, so it reads no face of
+    fewer than four vertices. A node is dropped by the size cut, and, once
+    a column closes chosen vertices, by the cone and fold cuts
     (`_closing_cuts`). `dom` holds every vertex adjacent to all of some
     closed N_W(b), b left out: adding one would fold, so none is added.
     """
@@ -659,7 +661,8 @@ def _column_walk(gk: LayeredGraph, char: int) -> int:
     if k > 1 << len(smear):
         smear.append(k - (1 << len(smear)))
     shared: dict[int, int] = {}
-    best = 0
+    u = cols[0] * k  # an edge: u and its lowest neighbour
+    best = _read_face(adj, 1 << u | adj[u] & -adj[u], 2, char, 0)
     stack = [(0, 0, firsts * run, 0)]  # face, next column, candidates, dom
     while stack:
         face, start, cand, dom = stack.pop()  # the face's top vertex was just added
