@@ -1,49 +1,53 @@
-"""Exact rank computation for small integer matrices.
+"""Exact rank computation for small sparse integer matrices.
 
 Ranks drive every homology dimension in this package, so they must be exact:
-over the rationals a fraction-free Bareiss elimination on Python integers,
-and over F2 a bitmask XOR elimination. Characteristic 0 means the rationals
-throughout; those are the only two fields the package computes over.
+over the rationals a sparse elimination over the integers, and over F2 a
+bitmask XOR elimination, of rows that are dicts {column: nonzero int}.
+Characteristic 0 means the rationals throughout; those are the only two
+fields the package computes over.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
+from math import gcd
 
 from .errors import InputError
 
 
-def rank_over_q(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals of an integer matrix, by fraction-free
-    (Bareiss) elimination; all intermediate values stay integers."""
-    m = [list(r) for r in rows if any(r)]
-    if not m:
-        return 0
-    cols = len(m[0])
-    rank = 0
-    prev = 1
-    for c in range(cols):
-        pivot = next((i for i in range(rank, len(m)) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        for i in range(rank + 1, len(m)):
-            for j in range(c + 1, cols):
-                m[i][j] = (m[i][j] * m[rank][c] - m[i][c] * m[rank][j]) // prev
-            m[i][c] = 0
-        prev = m[rank][c]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+def rank_over_q(rows: Sequence[Mapping[int, int]]) -> int:
+    """Rank over the rationals. While a pivot row p leads at a row's lowest
+    column c, the row becomes (p[c] * row - row[c] * p) / gcd(row[c], p[c]);
+    a row left nonzero becomes the pivot at c, divided by the gcd of its
+    entries. Rows are only scaled by nonzero integers: the rank is exact."""
+    pivots: dict[int, dict[int, int]] = {}
+    for r in rows:
+        row = dict(r)
+        while row:
+            lead = min(row)
+            p = pivots.get(lead)
+            if p is None:
+                g = gcd(*row.values())
+                pivots[lead] = {c: x // g for c, x in row.items()} if g > 1 else row
+                break
+            g = gcd(row[lead], p[lead])
+            a, b = row[lead] // g, p[lead] // g
+            if b != 1:
+                row = {c: b * x for c, x in row.items()}
+            for c, x in p.items():
+                if y := row.get(c, 0) - a * x:
+                    row[c] = y
+                else:
+                    del row[c]
+    return len(pivots)
 
 
-def rank_mod_2(rows: Sequence[Sequence[int]]) -> int:
+def rank_mod_2(rows: Sequence[Mapping[int, int]]) -> int:
     """Rank over F2; rows are packed into integers and eliminated by XOR."""
     basis: list[int] = []
     for r in rows:
         v = 0
-        for j, e in enumerate(r):
+        for j, e in r.items():
             if e & 1:
                 v |= 1 << j
         for b in basis:
@@ -54,9 +58,9 @@ def rank_mod_2(rows: Sequence[Sequence[int]]) -> int:
     return len(basis)
 
 
-def rank(rows: Sequence[Sequence[int]], char: int) -> int:
-    """Rank over Q (characteristic 0) or F2 (characteristic 2); any other
-    characteristic raises :class:`InputError`."""
+def rank(rows: Sequence[Mapping[int, int]], char: int) -> int:
+    """Rank over Q (characteristic 0) or F2 (characteristic 2) of sparse
+    rows; any other characteristic raises :class:`InputError`."""
     if char == 0:
         return rank_over_q(rows)
     if char == 2:

@@ -265,20 +265,10 @@ def cmd_depth(args) -> int:
     field = FIELDS[args.field]
     depth = depth_symbolic_cover(g, args.k, field, args.hochster_guard)
     if args.format == "json":
-        text = _json_text(
-            {
-                "n": g.n,
-                "k": args.k,
-                "field": field.label,
-                "depth": depth,
-                "routes_agree": True,
-            }
-        )
+        text = _json_text({"n": g.n, "k": args.k, "field": field.label, "depth": depth,
+                           "routes_agree": True})
     else:
-        text = (
-            f"depth {depth}\n"
-            "routes upper-koszul layered-regularity agree\n"
-        )
+        text = f"depth {depth}\nroutes upper-koszul layered-regularity agree\n"
     _emit(text, args.output)
     return EXIT_OK
 

@@ -66,7 +66,8 @@ results:
   |live| >= 2d + 2, and a branch whose live vertices, decided and still
   open, cannot reach that is dropped. Every degree read from a K^b, memo
   hit or not, is checked against the bound, with ConsistencyError on a
-  breach;
+  breach. It keeps the mask at[e] of the vertices of each value e, so a
+  closing vertex's tight-edge test and slack-1 row are one AND each;
 * disjoint graph components are combined by the join rule for reduced
   homology over a field;
 * component homology is memoized per field under the component's adjacency
@@ -155,7 +156,7 @@ def _faces_by_dim(vertices: int, adj, non_faces=()) -> dict[int, list[int]]:
             bit = 1 << v
             candidates ^= bit
             grown = face | bit
-            if not any(nf >> v == 1 and nf & grown == nf for nf in non_faces):
+            if not non_faces or not any(nf >> v == 1 and nf & grown == nf for nf in non_faces):
                 stack.append((grown, above & ~adj[v]))
             above |= bit
     return faces
@@ -165,16 +166,16 @@ def _dims_from_faces(faces: dict[int, list[int]], char: int) -> dict[int, int]:
     """Sparse reduced homology dimensions from face masks by dimension: for
     each degree d, dim = #faces - rank(boundary_d) - rank(boundary_{d+1}),
     and only nonzero degrees are kept, so an acyclic complex gives {} and
-    the empty complex {-1: 1}. The i-th lowest vertex of a face carries the
-    sign (-1)^i; ranks, and so the dims, do not depend on the order of the
-    faces."""
+    the empty complex {-1: 1}. A face's boundary row is sparse, {index of
+    the face without its i-th lowest vertex: (-1)^i}; ranks, and so the
+    dims, do not depend on the order of the faces."""
     top = max(faces)
-    ranks: dict[int, int] = {}
-    for d in range(0, top + 1):
+    ranks: dict[int, int] = {0: 1} if top >= 0 else {}
+    for d in range(1, top + 1):
         lower = {f: i for i, f in enumerate(faces[d - 1])}
         rows = []
         for face in faces[d]:
-            row = [0] * len(lower)
+            row = {}
             sign, rest = 1, face
             while rest:
                 low = rest & -rest
@@ -473,7 +474,7 @@ def taylor_betti_oracle(
                 continue
             rows = []
             for s in masks:
-                row = [0] * len(lower)
+                row = {}
                 sign, rest = 1, s
                 while rest:
                     low = rest & -rest
@@ -722,36 +723,36 @@ def _pd_symbolic_cover(g: Graph, k: int, char: int) -> int:
     other, live, ones span Ind of the slack-1 graph on them. A vertex is
     decided, live or not, at its closing vertex, the last of its closed
     neighbourhood; a live vertex with no slack-1 edge there makes a cone,
-    which is skipped.
+    which is skipped. With b the walk holds at[e], the vertices of value e,
+    as field e (bits e*n and up) of one int: v's values start at k minus
+    the lowest field its earlier neighbours meet; x with b_x >= 1 has a
+    tight edge iff at[k - b_x] & N(x), and slack-1 row at[k + 1 - b_x] & N(x).
 
-    The walk is pruned by the quadric size bound: beta_{i,j} != 0 needs
-    j <= 2i for a quadric ideal, so by Hochster's formula H~_d of the
-    independence complex of a graph on m vertices vanishes unless
-    m >= 2d + 2. A point b thus raises pd to at most |live| // 2 + 1, and a
-    node is dropped once its live vertices plus the `open_after` vertices
-    still undecided cannot beat the best pd so far; at a leaf none are
-    open. The bound uses sizes only. The pruning trusts it, so every degree
-    read from a K^b, memoized or fresh, is checked against its live count,
-    and a breach raises ConsistencyError."""
-    n = g.n
-    nbrs = [tuple(iter_bits(m)) for m in g.adj]
-    closing: list[list[int]] = [[] for _ in nbrs]  # x with max N[x] = v
-    for v, nv in enumerate(nbrs):
-        closing[max((v, *nv))].append(v)
-    pos = {x: i for i, x in enumerate(itertools.chain.from_iterable(closing))}
+    By the quadric size bound (module notes) a point b raises pd to at most
+    |live| // 2 + 1, so a node is dropped once its live vertices plus the
+    `open_after` vertices still undecided cannot beat the best pd so far.
+    The pruning trusts the bound, so every degree read from a K^b, memoized
+    or fresh, is checked against its live count, and a breach raises
+    ConsistencyError."""
+    n, adj = g.n, g.adj
+    closing: list[list[int]] = [[] for _ in adj]  # x with max N[x] = v
+    for x, m in enumerate(adj):
+        closing[max(x, m.bit_length() - 1)].append(x)
     open_after = [0] * (n + 1)  # v -> vertices still undecided at depth v
     for v in reversed(range(n)):
         open_after[v] = open_after[v + 1] + len(closing[v])
+    spread = sum(1 << e * n for e in range(k + 1))  # one bit at the foot of each field
+    below = [(m & (1 << v) - 1) * spread for v, m in enumerate(adj)]  # earlier neighbours
     pd = 0
-    stack = [((), 0, ())]  # (b so far, live mask, slack-1 rows in closing order)
+    stack = [((), 0, 0)]  # (b so far, at, live); at[e] is field e of at, bits e*n..
     while stack:
-        a, live, rows = stack.pop()
-        v = len(a)
+        b, at, live = stack.pop()
+        v = len(b)
         size = live.bit_count()
         if (size + open_after[v]) // 2 + 1 <= pd:
             continue
         if v == n:
-            key = tuple(rows[pos[x]] & live for x in iter_bits(live))
+            key = tuple(at >> (k + 1 - b[x]) * n & adj[x] & live for x in iter_bits(live))
             if 0 in key:
                 continue  # a cone
             dims = _KOSZUL_DIMS.get((char, key))
@@ -766,19 +767,18 @@ def _pd_symbolic_cover(g: Graph, k: int, char: int) -> int:
                     )
                 pd = max(pd, d + 2)
             continue
-        low = max([0, *(k - a[u] for u in nbrs[v] if u < v)])
+        early = at & below[v]  # v's earlier neighbours, each in the field of its value
+        low = k - ((early & -early).bit_length() - 1) // n if early else 0
         for e in range(low, k + 1):
-            b, grown, more = a + (e,), live, rows
+            grown_b, grown_at, grown = b + (e,), at | 1 << e * n + v, live
             for x in closing[v]:
-                one, bx = 0, b[x]
-                if bx and k - bx not in [b[u] for u in nbrs[x]]:  # no tight edge
-                    one = sum(1 << u for u in nbrs[x] if b[u] == k + 1 - bx)
-                    if not one:
-                        break  # a cone
+                bx = grown_b[x]
+                if bx and not grown_at >> (k - bx) * n & adj[x]:  # no tight edge
+                    if not grown_at >> (k + 1 - bx) * n & adj[x]:
+                        break  # a cone: no slack-1 edge
                     grown |= 1 << x
-                more += (one,)
             else:
-                stack.append((b, grown, more))
+                stack.append((grown_b, grown_at, grown))
     return pd
 
 

@@ -4,11 +4,13 @@ Everything here is deliberately naive and shares no code with the package:
 subsets via itertools, membership-by-divisibility, homology by Fraction
 Gaussian elimination. Slow is fine; these run on tiny inputs only.
 
-Three reference paths are kept from earlier versions of the package, to
+Four reference paths are kept from earlier versions of the package, to
 check the faster code that replaced them: `tuple_taylor_betti` (the Taylor
 oracle on exponent tuples, which uses the package's `rank` and
 `BettiTable`), `unfiltered_reg_sweep` (the regularity sweep before its link
-filter, which reads the package's `_ind_dims`) and the polarization
+filter, which reads the package's `_ind_dims`), `tuple_pd_symbolic_cover`
+(route A's walk on a growing tuple, which reads the package's face walk
+and `_dims_from_faces`) and the polarization
 identity (`layered_cover_ideal`, `check_polarization_identity`), which
 builds both sides from the package's ideal operations. One more,
 `face_walk_induced_matching`, reads the induced matching number off the
@@ -22,6 +24,7 @@ from collections import defaultdict
 from fractions import Fraction
 
 from coverdepth import homology
+from coverdepth._bits import iter_bits
 from coverdepth._linalg import rank
 from coverdepth.errors import (
     DEFAULT_TAYLOR_GUARD,
@@ -369,9 +372,10 @@ def tuple_taylor_betti(
     `homology.taylor_betti_oracle` was before it moved to packed ints: each
     subset's lcm is an exponent tuple built by `max` over `zip`, strands are
     keyed by tuples, and boundary faces come from slicing subset tuples.
-    Verbatim but for two inlined one-liners it called: `sum` for
+    Verbatim but for two inlined one-liners it called, `sum` for
     `ideals.total_degree` and the `BettiTable` built by
-    `homology._betti_from_counts`."""
+    `homology._betti_from_counts`, and for its boundary rows, which are
+    sparse dicts {column: sign} as `rank` takes them."""
     gens = ideal.sorted_gens()
     check_guard(len(gens), guard, DEFAULT_TAYLOR_GUARD,
                 "{cost} generators exceed the guard {limit}")
@@ -405,7 +409,7 @@ def tuple_taylor_betti(
             lower = index.get(size - 1, {})
             rows = []
             for subset in subsets:
-                row = [0] * len(lower)
+                row = {}
                 for i in range(len(subset)):
                     sub = subset[:i] + subset[i + 1 :]
                     if sub in lower:  # same multidegree survives the tensor
@@ -451,6 +455,60 @@ def unfiltered_reg_sweep(adj: tuple[int, ...], char: int) -> int:
             stack.append((face | bit, above & ~up[v]))
             above |= bit
     return best + 1
+
+
+def tuple_pd_symbolic_cover(g: Graph, k: int, char: int, memo: dict) -> int:
+    """`homology._pd_symbolic_cover` as it was before it held b as per-value
+    masks: b grows as a tuple, and each closing vertex's tight-edge test and
+    slack-1 row loop over its neighbours. Verbatim but for `memo` in place
+    of `_KOSZUL_DIMS`, so a test can compare the keys the two walks fill."""
+    n = g.n
+    nbrs = [tuple(iter_bits(m)) for m in g.adj]
+    closing: list[list[int]] = [[] for _ in nbrs]  # x with max N[x] = v
+    for v, nv in enumerate(nbrs):
+        closing[max((v, *nv))].append(v)
+    pos = {x: i for i, x in enumerate(itertools.chain.from_iterable(closing))}
+    open_after = [0] * (n + 1)  # v -> vertices still undecided at depth v
+    for v in reversed(range(n)):
+        open_after[v] = open_after[v + 1] + len(closing[v])
+    pd = 0
+    stack = [((), 0, ())]  # (b so far, live mask, slack-1 rows in closing order)
+    while stack:
+        a, live, rows = stack.pop()
+        v = len(a)
+        size = live.bit_count()
+        if (size + open_after[v]) // 2 + 1 <= pd:
+            continue
+        if v == n:
+            key = tuple(rows[pos[x]] & live for x in iter_bits(live))
+            if 0 in key:
+                continue  # a cone
+            dims = memo.get((char, key))
+            if dims is None:
+                dims = memo[char, key] = homology._dims_from_faces(
+                    homology._faces_by_dim(live, dict(zip(iter_bits(live), key))), char)
+            for d in dims:
+                if 2 * d + 2 > size:
+                    raise ConsistencyError(
+                        f"upper Koszul homology of degree {d} on {size} live "
+                        f"vertices breaks the quadric bound |live| >= 2d + 2"
+                    )
+                pd = max(pd, d + 2)
+            continue
+        low = max([0, *(k - a[u] for u in nbrs[v] if u < v)])
+        for e in range(low, k + 1):
+            b, grown, more = a + (e,), live, rows
+            for x in closing[v]:
+                one, bx = 0, b[x]
+                if bx and k - bx not in [b[u] for u in nbrs[x]]:  # no tight edge
+                    one = sum(1 << u for u in nbrs[x] if b[u] == k + 1 - bx)
+                    if not one:
+                        break  # a cone
+                    grown |= 1 << x
+                more += (one,)
+            else:
+                stack.append((b, grown, more))
+    return pd
 
 
 def layered_cover_ideal(gk: LayeredGraph) -> MonomialIdeal:

@@ -60,6 +60,7 @@ from coverdepth.layered import as_plain_graph, build_gk
 from _oracles import (
     brute_ordered_matching,
     brute_reduced_homology,
+    tuple_pd_symbolic_cover,
     tuple_taylor_betti,
     unfiltered_reg_sweep,
 )
@@ -935,8 +936,9 @@ def test_koszul_pd_matches_taylor_oracle():
 
 def _unpruned_pd(g: Graph, k: int, char: int, memo: dict) -> int:
     """Reference pd(S/J(g)^(k)) with no size pruning: the upper-Koszul walk
-    of `_pd_symbolic_cover` reading every non-cone K^b, with its own memo
-    in place of `_KOSZUL_DIMS`."""
+    of `_pd_symbolic_cover` as it was before its per-value masks, on a
+    growing tuple b, reading every non-cone K^b, with its own memo in place
+    of `_KOSZUL_DIMS`."""
     n = g.n
     nbrs = [tuple(iter_bits(m)) for m in g.adj]
     closing: list[list[int]] = [[] for _ in nbrs]
@@ -978,17 +980,33 @@ def test_koszul_size_bound_matches_unpruned_reference(graph_classes):
     """Route A stops once no live set can raise pd, by |live| >= 2d + 2;
     the unpruned walk must give the same pd, over Q and F2, from a cold
     memo, on every graph class with an edge on two to six vertices (isolated
-    vertices included) with k <= 3 and n * k <= 18."""
+    vertices included) with k <= 4 and n * k <= 18."""
     homology._KOSZUL_DIMS.clear()
     memo: dict = {}
     for n in range(2, 7):
         for g in graph_classes[n]:
             if not g.edges:
                 continue
-            for k in range(1, min(3, 18 // n) + 1):
+            for k in range(1, min(4, 18 // n) + 1):
                 for char in (0, 2):
                     want = _unpruned_pd(g, k, char, memo)
                     assert homology._pd_symbolic_cover(g, k, char) == want, (g, k, char)
+
+
+@pytest.mark.parametrize("g", [cycle(5), path(4), K33], ids=["C5", "P4", "K33"])
+def test_koszul_walk_fills_the_memo_keys_of_the_tuple_walk(monkeypatch, g):
+    """From a cold memo, the per-value mask walk evaluates exactly the K^b
+    the tuple walk it replaced evaluated, over Q and F2 at k = 1..3: the
+    same live vertices with the same slack-1 rows, so a change to the live
+    or tight masks, or to the pruning, shows as a different key set."""
+    for char in (0, 2):
+        for k in (1, 2, 3):
+            monkeypatch.setattr(homology, "_KOSZUL_DIMS", {})
+            memo: dict = {}
+            want = tuple_pd_symbolic_cover(g, k, char, memo)
+            assert homology._pd_symbolic_cover(g, k, char) == want
+            assert homology._KOSZUL_DIMS == memo, (k, char)
+            assert memo
 
 
 @pytest.mark.parametrize("g", [path(4), cycle(5), complete(3)], ids=["P4", "C5", "K3"])

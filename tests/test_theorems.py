@@ -624,6 +624,25 @@ def test_reg_upper_catches_a_fold_kernel_fault_inside_the_size_bound(
     assert "depth routes disagree on k=1" in capsys.readouterr().err
 
 
+def test_depth_series_that_rises_with_k_is_an_internal_error(monkeypatch, tmp_path, capsys):
+    """depth S/J(g)^(k) does not rise with k, so a depth kernel whose series
+    rises (a stub returning k) raises ConsistencyError in every verifier
+    that reads a depth series, and `verify main` exits 5 instead of
+    reporting a failed instance."""
+    monkeypatch.setattr(homology, "depth_symbolic_cover", lambda g, k, f, guard: k)
+    c5 = cli.parse_graph_text(FAULT_GRAPH_FILES["C5"])
+    with pytest.raises(ConsistencyError, match="depth rises with k"):
+        verify_main(c5)
+    with pytest.raises(ConsistencyError, match="depth rises with k"):
+        verify_bipartite(cli.parse_graph_text(FAULT_GRAPH_FILES["P4"]), k_max=3)
+    with pytest.raises(ConsistencyError, match="depth rises with k"):
+        verify_whisker(path(2), [(1, 2)])
+    graph = tmp_path / "g.txt"
+    graph.write_text(FAULT_GRAPH_FILES["C5"])
+    assert cli.main(["verify", "main", "--graph", str(graph)]) == 5
+    assert "depth rises with k: {1: 1, 2: 2}" in capsys.readouterr().err
+
+
 def test_report_formats():
     out = run_corpus(max_vertices=2, k_max=1, theorems=("main", "regupper"))
     text = report_to_csv(out)
