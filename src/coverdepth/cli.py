@@ -20,7 +20,6 @@ property of the input).
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from pathlib import Path
@@ -59,7 +58,14 @@ from .ideals import (
     symbolic_power_cover,
 )
 from .layered import LayeredGraph, build_gk
-from .theorems import REPORT_FORMATS, THEOREM_IDS, VERIFIERS, run_corpus, run_items
+from .theorems import (
+    REPORT_FORMATS,
+    THEOREM_IDS,
+    VERIFIERS,
+    json_text,
+    run_corpus,
+    run_items,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -158,10 +164,6 @@ def _intersect_files(path_a: str, path_b: str) -> MonomialIdeal:
     return intersect(a, b)
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
@@ -214,7 +216,7 @@ def cmd_invariants(args) -> int:
     check_guard(g.n, None, DEFAULT_ENUM_GUARD,
                 "invariant search on {cost} vertices exceeds guard {limit}")
     rep = invariants_report(g)
-    text = _json_text(rep) if args.format == "json" else _render_invariants_text(rep)
+    text = json_text(rep) if args.format == "json" else _render_invariants_text(rep)
     _emit(text, args.output)
     return EXIT_OK
 
@@ -237,7 +239,7 @@ def cmd_ideal(args) -> int:
     names, build = IDEAL_OPS[args.ideal_op]
     ideal = build(*(getattr(args, name) for name in names))
     if args.format == "json":
-        text = _json_text(ideal_to_json(ideal))
+        text = json_text(ideal_to_json(ideal))
     else:
         text = format_ideal_text(ideal) + "\n"
     _emit(text, args.output)
@@ -247,7 +249,7 @@ def cmd_ideal(args) -> int:
 def cmd_gk(args) -> int:
     gk = build_gk(_load_graph(args.graph), args.k)
     if args.format == "json":
-        text = _json_text(
+        text = json_text(
             {
                 "n": gk.base_n,
                 "k": gk.k,
@@ -265,7 +267,7 @@ def cmd_depth(args) -> int:
     field = FIELDS[args.field]
     depth = depth_symbolic_cover(g, args.k, field, args.hochster_guard)
     if args.format == "json":
-        text = _json_text({"n": g.n, "k": args.k, "field": field.label, "depth": depth,
+        text = json_text({"n": g.n, "k": args.k, "field": field.label, "depth": depth,
                            "routes_agree": True})
     else:
         text = f"depth {depth}\nroutes upper-koszul layered-regularity agree\n"

@@ -13,20 +13,24 @@ mode all read it, so a new verifier is one entry. Both modes hand their
 items to :func:`run_items`, the one place an entry is called.
 :func:`run_corpus` sweeps every verifier over exhaustively enumerated small
 graphs and yields a deterministic, machine-readable report, rendered by
-:data:`REPORT_FORMATS`.
+:data:`REPORT_FORMATS`. The JSON report, like every JSON output of the CLI,
+is written by :func:`json_text`, which matches
+`json.dumps(obj, indent=2, sort_keys=True)` byte for byte in one pass.
+
+Importing this module, and so starting the CLI, loads no process pool:
+`run_items` imports `concurrent.futures` (and with it multiprocessing) only
+when it starts workers, and the text and csv reports import `hashlib` and
+`csv` when they render.
 """
 
 from __future__ import annotations
 
-import csv
-import hashlib
-import io
 import itertools
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from json.encoder import encode_basestring_ascii as _json_str
 
 from . import homology
 from .errors import ConsistencyError, GuardError, InputError
@@ -589,6 +593,8 @@ def run_items(items: Sequence[tuple], jobs: int = 1) -> list[VerificationOutcome
     try:
         if workers <= 1:
             return [_run_item(item) for item in items]
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = min(8, -(-len(items) // workers))
             return list(pool.map(_run_item, items, chunksize=chunk))
@@ -598,6 +604,8 @@ def run_items(items: Sequence[tuple], jobs: int = 1) -> list[VerificationOutcome
 
 def instance_hash(instance: dict) -> str:
     """Stable short fingerprint of a serialized instance."""
+    import hashlib
+
     payload = json.dumps(instance, sort_keys=True).encode()
     return hashlib.sha256(payload).hexdigest()[:12]
 
@@ -618,13 +626,62 @@ def report_to_text(outcomes: Sequence[VerificationOutcome]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_json(obj, out: list[str], pad: str) -> None:
+    """Appends the pieces of `obj` as `json.dumps(obj, indent=2,
+    sort_keys=True)` renders it, `pad` being a newline and the indent of
+    obj's own line. Takes dicts with str keys, lists, str, int, bool and
+    None, and raises TypeError on anything else."""
+    kind = type(obj)
+    if kind is str:
+        out.append(_json_str(obj))
+    elif kind is int:
+        out.append(int.__repr__(obj))
+    elif kind is dict:
+        if not obj:
+            out.append("{}")
+            return
+        inner, sep = pad + "  ", "{"
+        for key in sorted(obj):  # `_json_str` raises TypeError on a non-str key
+            out.append(sep + inner + _json_str(key) + ": ")
+            _write_json(obj[key], out, inner)
+            sep = ","
+        out.append(pad + "}")
+    elif kind is list:
+        if not obj:
+            out.append("[]")
+            return
+        inner, sep = pad + "  ", "["
+        for item in obj:
+            out.append(sep + inner)
+            _write_json(item, out, inner)
+            sep = ","
+        out.append(pad + "]")
+    elif kind is bool:
+        out.append("true" if obj else "false")
+    elif obj is None:
+        out.append("null")
+    else:
+        raise TypeError(f"cannot render {kind.__name__} as JSON")
+
+
+def json_text(obj) -> str:
+    """`json.dumps(obj, indent=2, sort_keys=True)` plus a newline, byte for
+    byte, written in one pass (`indent` sends `json` to its pure-Python
+    encoder)."""
+    out: list[str] = []
+    _write_json(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
 def report_to_json(outcomes: Sequence[VerificationOutcome]) -> str:
-    return json.dumps(
-        [o.to_json() for o in outcomes], indent=2, sort_keys=True
-    ) + "\n"
+    return json_text([o.to_json() for o in outcomes])
 
 
 def report_to_csv(outcomes: Sequence[VerificationOutcome]) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["theorem_id", "n", "instance_hash", "status"])

@@ -3,12 +3,17 @@ sweeps, and the invariant that verifiers never fail on real inputs."""
 
 from __future__ import annotations
 
+import ast
+import concurrent.futures
 import dataclasses
 import itertools
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coverdepth import cli, graphs, homology, theorems
@@ -382,7 +387,7 @@ def test_run_items_starts_at_most_one_worker_per_cpu(monkeypatch):
             return map(fn, items)
 
     serial = report_to_json(run_corpus(max_vertices=3, k_max=2))
-    monkeypatch.setattr(theorems, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(theorems.os, "cpu_count", lambda: 2)
     assert report_to_json(run_corpus(max_vertices=3, k_max=2, jobs=5000)) == serial
     assert started == [2]
@@ -652,6 +657,53 @@ def test_report_formats():
     for o in out:
         assert len(instance_hash(o.instance)) == 12
     assert report_to_json(out).endswith("\n")
+
+
+_JSON_STRINGS = st.text() | st.sampled_from(
+    ["", '"', "\\", '\\"', "\x00\x1f\x7f\n\t", "é\u2028", "\U0001f600", "\ud800"]
+)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64)
+    | st.integers(max_value=-(2**64)) | _JSON_STRINGS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_JSON_STRINGS, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@given(obj=_JSON_VALUES)
+@example(obj=[{}, [], "", {"": [[]]}])
+@example(obj=[True, 1, False, 0, None, -(2**80)])
+@example(obj={"\\": '"', "é": "\x00", "a": {"b": {}}})
+@settings(max_examples=200, deadline=None)
+def test_json_text_matches_json_dumps(obj):
+    assert theorems.json_text(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [1.5, {1, 2}, b"x", {1: "a"}, [{"a": [0.5]}], {"a": (1, 2)}],
+    ids=["float", "set", "bytes", "int-key", "nested-float", "tuple"],
+)
+def test_json_text_rejects_what_it_does_not_render(obj):
+    with pytest.raises(TypeError):
+        theorems.json_text(obj)
+
+
+def test_cli_import_loads_no_pool_typing_hashlib_or_csv():
+    """Importing the CLI, as every `coverdepth` run does, loads no process
+    pool (nor multiprocessing behind it), `typing`, `hashlib` or `csv`:
+    `run_items` imports the pool only to start workers, and the text and
+    csv reports import `hashlib` and `csv` when they render."""
+    src = Path(theorems.__file__).resolve().parents[1]
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); import coverdepth.cli; "
+            "print(sorted(sys.modules))")
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                         capture_output=True, text=True, check=True).stdout
+    loaded = set(ast.literal_eval(out))
+    assert "coverdepth.cli" in loaded
+    banned = {"concurrent.futures", "multiprocessing", "typing", "hashlib", "csv"}
+    assert not banned & loaded
 
 
 @given(g=small_graphs_no_isolated())
