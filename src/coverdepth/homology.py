@@ -80,7 +80,7 @@ results:
   ideals) turns it, by duality, into a sweep over the independent sets of
   the dual graph; only the remaining ideals enumerate faces and build
   boundary matrices, skipping subsets whose restricted complex is a cone.
-  The first two branches go through the fold, join and memo above.
+  Both fold (the edge-ideal one by table lookup), join and memo as above.
 """
 
 from __future__ import annotations
@@ -237,44 +237,35 @@ def _join_dims(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return dict(out)
 
 
-def _ind_dims(adj: tuple[int, ...], mask: int, char: int) -> dict[int, int]:
-    """Sparse reduced-homology dims, read-only (maybe a memo entry), of the
-    independence complex of the induced subgraph on `mask`: {} if it
-    vanishes (an isolated vertex makes a cone), {-1: 1} if `mask` is empty.
-    Each pass folds away the lowest u that is a common neighbour of some
-    N(v), v != u, so N(v) <= N(u), at one AND per edge end; the rest joins
-    over its connected components, the first taken as it is. No benchmark
-    workload needs the join, but disconnected inputs do: with it,
-    `reg_edge_ideal` on 9K2 walks only two-vertex complexes; without it,
-    7K2 takes seconds."""
-    while True:
-        nbrs: dict[int, int] = {}  # vertex bit -> its neighbours in mask
-        m = mask
-        while m:
-            low = m & -m
-            nv = adj[low.bit_length() - 1] & mask
-            if not nv:
-                return {}
-            nbrs[low] = nv
-            m ^= low
-        dominated = 0
-        for low, nv in nbrs.items():
-            common = mask
-            while nv:
-                w = nv & -nv
-                common &= adj[w.bit_length() - 1]
-                nv ^= w
-            dominated |= common & ~low
-        if not dominated:
-            break
-        mask &= ~(dominated & -dominated)
+def _dominated(adj: tuple[int, ...], mask: int) -> int:
+    """The lowest common neighbour u != v of N_W(v), W = `mask`, for the
+    first v that has one, as a bit (the fold lemma deletes u), or 0 if W is
+    fold-free. An AND stops once nothing is common. An isolated v gives any u."""
+    m = mask
+    while m:
+        low = m & -m
+        m ^= low
+        nv = adj[low.bit_length() - 1] & mask
+        common = mask ^ low
+        while nv and common:
+            w = nv & -nv
+            common &= adj[w.bit_length() - 1]
+            nv ^= w
+        if common:
+            return common & -common
+    return 0
+
+
+def _joined_dims(adj: tuple[int, ...], mask: int, char: int) -> dict[int, int]:
+    """Sparse reduced-homology dims of Ind(G[mask]) ({-1: 1} if `mask` is
+    empty), joined over its connected components (`_component_dims`)."""
     total = {-1: 1}
     remaining = mask
     while remaining:
         comp = frontier = remaining & -remaining
         while frontier:
             low = frontier & -frontier
-            grown = nbrs[low] & ~comp
+            grown = adj[low.bit_length() - 1] & mask & ~comp
             comp |= grown
             frontier ^= low | grown
         remaining &= ~comp
@@ -283,6 +274,27 @@ def _ind_dims(adj: tuple[int, ...], mask: int, char: int) -> dict[int, int]:
             return {}
         total = dims if total == {-1: 1} else _join_dims(total, dims)
     return total
+
+
+def _ind_dims(adj: tuple[int, ...], mask: int, char: int) -> dict[int, int]:
+    """Sparse reduced-homology dims, read-only (maybe a memo entry), of the
+    independence complex of the induced subgraph on `mask`: {} if it
+    vanishes (an isolated vertex makes a cone), {-1: 1} if `mask` is empty.
+    Each pass deletes the vertex `_dominated` finds; the fold-free rest
+    joins over its components (`_joined_dims`), where the edge-ideal Betti
+    sweep sends its fold-free subsets too. With the join, `reg_edge_ideal`
+    on 9K2 walks only two-vertex complexes; without it, 7K2 takes seconds."""
+    while True:
+        m = mask
+        while m:
+            low = m & -m
+            if not adj[low.bit_length() - 1] & mask:
+                return {}
+            m ^= low
+        u = _dominated(adj, mask)
+        if not u:
+            return _joined_dims(adj, mask, char)
+        mask ^= u
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +363,9 @@ def betti_table_squarefree(
       edge ideal of a graph G on the active variables and the restricted
       complex on a subset is the independence complex of the induced
       subgraph, so beta_{i,j} sums dim H~_{j-i-1}(Ind(G[sigma])) over
-      subsets sigma of size j;
+      subsets sigma of size j. In increasing order, a cone is read off the
+      isolated vertices of sigma minus its top vertex, a fold u
+      (`_dominated`) off sigma - u's entry, and the rest is `_joined_dims`;
     * quadric dual: otherwise, when every generator of the Alexander dual
       is a quadric, the sum is reorganized through duality into a sweep
       over independent sets W of the dual graph H, each contributing
@@ -375,12 +389,23 @@ def betti_table_squarefree(
     n, full = len(sweep), (1 << len(sweep)) - 1
     gens = [sum(bit[v] for v in support(m)) for m in ideal.sorted_gens()]
     if all(s.bit_count() == 2 for s in gens):
-        # edge ideal: each restricted complex is the independence complex of
-        # the induced subgraph on that subset (Hochster's formula)
+        # edge ideal: each restricted complex is Ind(G[W]) (Hochster's
+        # formula), and W minus any vertex comes before W in increasing order
         adj = _adjacency(gens, n)
+        lone = memoryview(bytearray(4 << n)).cast("I")  # W -> its isolated vertices
+        table: list[dict[int, int] | None] = [None] * (1 << n)  # W -> its dims, None if none
         for mask in range(1, 1 << n):
-            for d, c in _ind_dims(adj, mask, f.char).items():
-                counts[_hochster_position(mask.bit_count(), d)] += c
+            t = mask.bit_length() - 1
+            rest = mask ^ 1 << t
+            lone[mask] = isolated = lone[rest] & ~adj[t] | (0 if adj[t] & rest else 1 << t)
+            if isolated:
+                continue  # a cone adds nothing
+            u = _dominated(adj, mask)
+            dims = table[mask ^ u] if u else _joined_dims(adj, mask, f.char)
+            if dims:
+                table[mask] = dims
+                for d, c in dims.items():
+                    counts[_hochster_position(mask.bit_count(), d)] += c
         return _betti_from_counts(ideal.ring.num_vars, counts)
 
     dual = [sum(bit[v] for v in support(m)) for m in alexander_dual(ideal).sorted_gens()]

@@ -559,8 +559,7 @@ def run_corpus(
     from all graphs on up to four vertices and every clique partition).
     The report order is deterministic and independent of `jobs`.
 
-    The graph classes are built once, and while the verifiers run each
-    depth is computed once per labelled graph, k and field (`_depth`)."""
+    The graph classes are built once; for the depth memo, see `run_items`."""
     requested = tuple(tid for tid in THEOREM_IDS if tid in set(theorems))
     unknown = set(theorems) - set(THEOREM_IDS)
     if unknown:
@@ -584,9 +583,9 @@ def run_corpus(
 def run_items(items: Sequence[tuple], jobs: int = 1) -> list[VerificationOutcome]:
     """Runs each (theorem id, graph, partition, k_max, field, guard) item
     through its registry entry, in item order whatever `jobs` is, on at
-    most one worker process per item and per CPU. While they run each
-    depth is computed once per labelled graph, k and field (`_depth`); the
-    memo is gone when this returns or raises."""
+    most one worker process per item and per CPU. At `jobs=1` each depth
+    is computed once per labelled graph, k and field (`_depth`); worker
+    processes share no memo. It is gone when this returns or raises."""
     global _DEPTH_MEMO
     _DEPTH_MEMO = {}
     workers = min(jobs, len(items), os.cpu_count() or 1)

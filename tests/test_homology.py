@@ -458,30 +458,85 @@ def _seeded_graphs(seed: int, sizes) -> list[Graph]:
     ]
 
 
+def _hochster_mismatches(graphs) -> list[tuple]:
+    """(graph, field label) of each graph whose edge-ideal Betti table,
+    read through `homology.betti_table_squarefree` so a planted fault is
+    seen, differs from `_plain_hochster_table`."""
+    return [(g, f.label) for g in graphs for f in (RATIONALS, F2)
+            if homology.betti_table_squarefree(edge_ideal(g), f) != _plain_hochster_table(g, f)]
+
+
 def test_edge_ideal_betti_matches_plain_hochster_with_cold_memo():
-    """The edge-ideal branch (fold, component join, memo) against a plain
+    """The edge-ideal branch (cone and fold tables, join, memo) against a plain
     Hochster sum, on every labelled graph with at most five vertices and a
     seeded handful on seven to nine vertices, over Q and F2. The memo starts
     empty, so every key is built here and every hit is checked."""
     homology._COMPONENT_DIMS.clear()
     graphs = [g for n in range(1, 6) for g in enumerate_graphs(n)]
     graphs += _seeded_graphs(11, (7, 7, 8, 8, 9, 9))
-    graphs = [g for g in graphs if g.edges]  # an edge ideal needs an edge
-    for f in (RATIONALS, F2):
-        for g in graphs:
-            assert betti_table_squarefree(edge_ideal(g), f) == (
-                _plain_hochster_table(g, f)
-            ), (g, f)
+    # an edge ideal needs an edge
+    assert _hochster_mismatches([g for g in graphs if g.edges]) == []
     assert homology._COMPONENT_DIMS
 
 
+@given(g=small_graphs(max_n=9, min_edges=1))
+@settings(max_examples=40, deadline=None)
+def test_edge_ideal_betti_sweep_matches_plain_hochster(g):
+    """The edge-ideal sweep, with its cones read from the isolated-vertex
+    masks and its folds read from the table, against the plain Hochster
+    sum on random graphs on up to nine vertices, over Q and F2, each from
+    a cold memo."""
+    homology._COMPONENT_DIMS.clear()
+    assert _hochster_mismatches([g]) == []
+
+
+@pytest.mark.parametrize(
+    "name, old, new",
+    [
+        # the lookup reads W - v, v the vertex whose neighbours u's hold
+        ("_dominated", "return common & -common", "return low"),
+        # the cone test keeps the new top vertex's neighbours isolated
+        ("betti_table_squarefree", "lone[rest] & ~adj[t]", "lone[rest]"),
+    ],
+    ids=["fold-reads-v", "cone-keeps-neighbours"],
+)
+def test_edge_ideal_betti_reference_catches_a_planted_fault(monkeypatch, name, old, new):
+    _plant(monkeypatch, name, old, new)
+    assert _hochster_mismatches([g for g in enumerate_graphs(4) if g.edges])
+
+
+def test_betti_cone_test_sees_an_isolated_top_vertex(monkeypatch):
+    """A cone test that misses an isolated new top vertex t leaves every
+    table as it was: the fold lemma deletes any other vertex of a subset
+    with an isolated one, and the join reads a lone vertex as a cone. It
+    shows only as work, so the planted fault is caught by counting the
+    subsets sent to the join: C5's five edges and C5 itself, and five
+    lone vertices more under the fault."""
+    joined = []
+    inner = homology._joined_dims
+
+    def counting(adj, mask, char):
+        joined.append(mask)
+        return inner(adj, mask, char)
+
+    monkeypatch.setattr(homology, "_joined_dims", counting)
+    want = _plain_hochster_table(cycle(5), RATIONALS)
+    assert homology.betti_table_squarefree(edge_ideal(cycle(5))) == want
+    assert len(joined) == 6
+    _plant(monkeypatch, "betti_table_squarefree", "(0 if adj[t] & rest else 1 << t)", "0")
+    joined.clear()
+    assert homology.betti_table_squarefree(edge_ideal(cycle(5))) == want
+    assert len(joined) == 11
+
+
 def test_betti_branch_reach(monkeypatch):
-    """Edge ideals sweep every nonempty vertex subset through _ind_dims and
-    never build boundary matrices once the memo is warm; cover ideals with a
-    non-quadric generator sweep the independent sets of the dual graph; an
-    ideal with a non-quadric
-    generator on both sides takes the generic face sweep."""
-    calls = {"_dims_from_faces": 0, "_ind_dims": 0}
+    """Edge ideals join components only on their fold-free subsets without
+    an isolated vertex, read every other subset from the sweep's own table,
+    never call _ind_dims and never build boundary matrices once the memo is
+    warm; cover ideals with a non-quadric generator sweep the independent
+    sets of the dual graph; an ideal with a non-quadric generator on both
+    sides takes the generic face sweep."""
+    calls = {"_dims_from_faces": 0, "_ind_dims": 0, "_joined_dims": 0}
 
     def counting(name):
         inner = getattr(homology, name)
@@ -492,26 +547,28 @@ def test_betti_branch_reach(monkeypatch):
 
         monkeypatch.setattr(homology, name, wrapper)
 
-    counting("_dims_from_faces")
-    counting("_ind_dims")
+    for name in calls:
+        counting(name)
 
     def reach(ideal):
         betti_table_squarefree(ideal)  # warm the memo
         calls.update(dict.fromkeys(calls, 0))
         betti_table_squarefree(ideal)
-        return calls["_dims_from_faces"], calls["_ind_dims"]
+        return calls["_dims_from_faces"], calls["_ind_dims"], calls["_joined_dims"]
 
-    # I(C5): the dual, the cover ideal, has cubic generators
-    assert reach(edge_ideal(cycle(5))) == (0, 2 ** 5 - 1)
+    # I(C5): the dual, the cover ideal, has cubic generators. Its 5 edges
+    # and C5 itself; every path of three or four vertices folds
+    assert reach(edge_ideal(cycle(5))) == (0, 0, 6)
     # I(K3) is quadric, and so is its dual J(K3): the ideal's own test
-    # comes first, so it takes the edge sweep
-    assert reach(edge_ideal(complete(3))) == (0, 2 ** 3 - 1)
-    # J(C5): one sweep step per independent set of C5 (1 + 5 + 5)
-    assert reach(cover_ideal(cycle(5))) == (0, 11)
+    # comes first, so it takes the edge sweep, over 3 edges and K3
+    assert reach(edge_ideal(complete(3))) == (0, 0, 4)
+    # J(C5): one sweep step per independent set of C5 (1 + 5 + 5); each
+    # residual graph, C5, an edge or empty, is fold-free and joined
+    assert reach(cover_ideal(cycle(5))) == (0, 11, 11)
     # (x1x2, x2x3x4): mixed degrees, dual (x2, x1x3, x1x4) mixed as well
     mixed = monomial_ideal(base_ring(4), [(1, 1, 0, 0), (0, 1, 1, 1)])
-    faces, ind = reach(mixed)
-    assert faces > 0 and ind == 0
+    faces, ind, joined = reach(mixed)
+    assert faces > 0 and ind == joined == 0
 
 
 @given(c=small_complexes(), f=st.sampled_from([RATIONALS, F2]))
@@ -1067,8 +1124,8 @@ def test_koszul_route_calls_none_of_route_b_or_the_betti_table(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("route A reached a shared kernel")
 
-    names = ("_ind_dims", "_component_dims", "polarize", "alexander_dual", "build_gk",
-             "symbolic_power_cover", "betti_table_squarefree")
+    names = ("_ind_dims", "_dominated", "_joined_dims", "_component_dims", "polarize",
+             "alexander_dual", "build_gk", "symbolic_power_cover", "betti_table_squarefree")
     for module_name, module in list(sys.modules.items()):
         if module_name.split(".")[0] == "coverdepth":
             for name in names:

@@ -136,8 +136,9 @@ def test_the_caller_scan_tells_a_module_function_from_a_method():
 # The Hochster engine that `homology.taylor_betti_oracle` cross-checks. The
 # oracle shares only `rank` with it, so a fault in any of these cannot make
 # both sides agree on a wrong table.
-ENGINE = {"_faces_by_dim", "_dims_from_faces", "_ind_dims", "_component_dims",
-          "_adjacency", "betti_table_squarefree", "polarize", "alexander_dual"}
+ENGINE = {"_faces_by_dim", "_dims_from_faces", "_ind_dims", "_dominated", "_joined_dims",
+          "_component_dims", "_adjacency", "betti_table_squarefree", "polarize",
+          "alexander_dual"}
 
 
 def _docstrings(tree: ast.Module) -> set[int]:
