@@ -37,6 +37,7 @@ from .errors import ConsistencyError, GuardError, InputError
 from .graphs import (
     Graph,
     OrderedProfile,
+    graph,
     independence_number,
     induced_matching_number,
     induced_matching_of_masks,
@@ -136,8 +137,15 @@ def _observed_stabilization(depths: dict[int, int], limit: int) -> int | None:
 
 
 # Depths computed so far in the running `run_items` call, keyed by
-# (n, adjacency masks, k, characteristic); None outside such a call.
+# (n, adjacency masks, k, characteristic); None outside such a call. Whisker
+# instances reach it through an orbit copy (`_orbit_copy`), so the clique
+# partitions of one Aut(base) orbit share one entry per k; with more than one
+# worker, only among the items of one worker process.
 _DEPTH_MEMO: dict[tuple, int] | None = None
+
+# Automorphisms of each whisker base seen in the running `run_items` call,
+# keyed by (n, adjacency masks); created and dropped with `_DEPTH_MEMO`.
+_BASE_AUTOMORPHISMS: dict[tuple, list[tuple[int, ...]]] | None = None
 
 
 def _depth(g: Graph, k: int, f: FieldChoice, guard: int | None) -> int:
@@ -176,6 +184,38 @@ def _depths(
         if depths[k] > min(depths.values()):
             raise ConsistencyError(f"depth rises with k: {depths}")
     return depths, None
+
+
+def _automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Every automorphism sigma of g as (sigma(1), ..., sigma(n)), by brute
+    force over the n! relabellings (bases have at most WHISKER_BASE_LIMIT
+    vertices)."""
+    return [
+        p for p in itertools.permutations(g.vertices)
+        if all((min(p[u - 1], p[v - 1]), max(p[u - 1], p[v - 1])) in g.edges
+               for u, v in g.edges)
+    ]
+
+
+def _orbit_copy(g: Graph, blocks: list[list[int]], w: Graph) -> Graph:
+    """w = whisker(g, blocks) relabelled so that every clique partition in
+    one Aut(g) orbit gives the same labelled graph, whisker(g, least image).
+
+    sigma in Aut(g) makes the sorted list of the sorted blocks sigma(B_j)
+    least; base vertex v becomes sigma(v), and whisker vertex n + j becomes
+    n + 1 + the rank of sigma(B_j) in that list. The copy is a relabelling
+    of w whatever sigma is, so a wrong automorphism can only cost memo hits,
+    never change a depth. Aut(g) is enumerated once per base per run."""
+    key = (g.n, g.adj)
+    auts = _BASE_AUTOMORPHISMS.get(key)
+    if auts is None:
+        auts = _BASE_AUTOMORPHISMS[key] = _automorphisms(g)
+    least, sigma = min(
+        (sorted(sorted(p[v - 1] for v in b) for b in blocks), p) for p in auts
+    )
+    ranks = [least.index(sorted(sigma[v - 1] for v in b)) for b in blocks]
+    label = [*sigma, *(g.n + 1 + r for r in ranks)]
+    return graph(w.n, ((label[u - 1], label[v - 1]) for u, v in w.edges))
 
 
 def _outcome(
@@ -244,7 +284,13 @@ def verify_whisker(
     partition pi of g yields a graph whose symbolic cover-ideal depth is
     n + m - alpha(g) - 1 at k = 1 and n - 1 for every k >= 2 (n = |V(g)|,
     m = number of blocks), and whose ordered matching number is m with an
-    m-ordered certificate. Depth is read at k = 1..max(2, k_max)."""
+    m-ordered certificate. Depth is read at k = 1..max(2, k_max).
+
+    Inside `run_items` the depths are read from an isomorphic orbit copy of
+    the whiskered graph (`_orbit_copy`), so that the partitions of one
+    Aut(g) orbit share their memo entries; outside it they are computed on
+    the whiskered graph itself. Either way the outcome reports pi and its
+    own whiskered graph."""
     if k_max < 1:
         raise InputError("k_max must be >= 1")
     w = whisker(g, pi)
@@ -265,7 +311,8 @@ def verify_whisker(
     s_w = profile.best(m)[0] or "-inf"
     if s_w != m:
         failures["m_ordered_certificate"] = {"expected": m, "computed": s_w}
-    depths, guard_hit = _depths(w, range(1, max(2, k_max) + 1), f, guard)
+    copy = w if _DEPTH_MEMO is None else _orbit_copy(g, blocks, w)
+    depths, guard_hit = _depths(copy, range(1, max(2, k_max) + 1), f, guard)
     expected = {
         k: (g.n + m - alpha - 1 if k == 1 else g.n - 1) for k in depths
     }
@@ -559,7 +606,8 @@ def run_corpus(
     from all graphs on up to four vertices and every clique partition).
     The report order is deterministic and independent of `jobs`.
 
-    The graph classes are built once; for the depth memo, see `run_items`."""
+    The graph classes are built once; for the depth memo, and the orbit
+    copies through which whisker instances share it, see `run_items`."""
     requested = tuple(tid for tid in THEOREM_IDS if tid in set(theorems))
     unknown = set(theorems) - set(THEOREM_IDS)
     if unknown:
@@ -584,10 +632,14 @@ def run_items(items: Sequence[tuple], jobs: int = 1) -> list[VerificationOutcome
     """Runs each (theorem id, graph, partition, k_max, field, guard) item
     through its registry entry, in item order whatever `jobs` is, on at
     most one worker process per item and per CPU. At `jobs=1` each depth
-    is computed once per labelled graph, k and field (`_depth`); worker
-    processes share no memo. It is gone when this returns or raises."""
-    global _DEPTH_MEMO
-    _DEPTH_MEMO = {}
+    is computed once per labelled graph, k and field (`_depth`), and the
+    whisker instances whose partitions lie in one Aut(base) orbit share one
+    orbit copy (`verify_whisker`), so one set of depths. Worker processes
+    share no memo: with more than one, sharing happens only among the items
+    of one worker. The memo and the automorphism table are gone when this
+    returns or raises."""
+    global _DEPTH_MEMO, _BASE_AUTOMORPHISMS
+    _DEPTH_MEMO, _BASE_AUTOMORPHISMS = {}, {}
     workers = min(jobs, len(items), os.cpu_count() or 1)
     try:
         if workers <= 1:
@@ -598,7 +650,7 @@ def run_items(items: Sequence[tuple], jobs: int = 1) -> list[VerificationOutcome
             chunk = min(8, -(-len(items) // workers))
             return list(pool.map(_run_item, items, chunksize=chunk))
     finally:
-        _DEPTH_MEMO = None
+        _DEPTH_MEMO = _BASE_AUTOMORPHISMS = None
 
 
 def instance_hash(instance: dict) -> str:

@@ -439,7 +439,9 @@ def test_corpus_class_counts(classes_up_to_7):
 
 def test_run_corpus_depth_memo_matches_cold_calls():
     """Each outcome of a corpus run, which reads repeated depths from the
-    run's memo, equals a cold call of its verifier on the same instance."""
+    run's memo, equals a cold call of its verifier on the same instance. A
+    whisker outcome of the run reads its depths off the orbit copy of its
+    whiskered graph; the cold call reads them off the whiskered graph."""
     out = run_corpus(max_vertices=4, k_max=3)
     assert theorems._DEPTH_MEMO is None
     for o in out:
@@ -470,6 +472,62 @@ def test_run_corpus_sweeps_each_layered_graph_once(monkeypatch):
     assert seen and len(seen) == len(set(seen))
     assert live and all(live)
     assert theorems._DEPTH_MEMO is None
+
+
+def _whisker_depth_graphs(monkeypatch) -> list[tuple]:
+    """The (n, adjacency masks) of every graph that `verify_whisker` sends
+    to `depth_symbolic_cover` from now on, one entry per call."""
+    sent, inside = [], []
+    depth, verify = homology.depth_symbolic_cover, theorems.verify_whisker
+
+    def counting(g, k, f=RATIONALS, guard=None):
+        if inside:
+            sent.append((g.n, g.adj))
+        return depth(g, k, f, guard)
+
+    def watched(*args):
+        inside.append(True)
+        try:
+            return verify(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(homology, "depth_symbolic_cover", counting)
+    monkeypatch.setattr(theorems, "verify_whisker", watched)
+    return sent
+
+
+def test_whisker_partitions_in_one_automorphism_orbit_share_depths(monkeypatch):
+    """In a corpus run the 78 whisker instances send 48 distinct graphs to
+    `depth_symbolic_cover`, one per Aut(base) orbit of clique partitions
+    (one per instance without the orbit copy), and the automorphism table
+    is gone once the run returns. Outside a run, `verify_whisker` computes
+    on the whiskered graph itself."""
+    sent = _whisker_depth_graphs(monkeypatch)
+    out = run_corpus(max_vertices=4, k_max=3)
+    assert sum(o.theorem_id == "whisker" for o in out) == 78
+    assert len(set(sent)) == 48
+    assert theorems._BASE_AUTOMORPHISMS is None
+
+    sent.clear()
+    g, pi = path(3), [[1, 2], [3]]  # its orbit copy is whisker(g, [[1], [2, 3]])
+    theorems.verify_whisker(g, pi, 2)
+    w = graphs.whisker(g, pi)
+    assert sent == [(w.n, w.adj)] * 2
+
+
+def test_whisker_orbit_copy_with_wrong_automorphisms_changes_no_byte(monkeypatch):
+    """A planted fault that lets every permutation of a base pass for an
+    automorphism leaves the report byte for byte as it was, because an
+    orbit copy is a relabelling of the whiskered graph whatever the
+    permutation; only memo hits may be lost."""
+    clean = report_to_json(run_corpus(max_vertices=4, k_max=3))
+    sent = _whisker_depth_graphs(monkeypatch)
+    monkeypatch.setattr(
+        theorems, "_automorphisms", lambda g: list(itertools.permutations(g.vertices))
+    )
+    assert report_to_json(run_corpus(max_vertices=4, k_max=3)) == clean
+    assert len(set(sent)) >= 48
 
 
 def test_single_graph_runs_compute_each_depth_once(monkeypatch, tmp_path, capsys):
