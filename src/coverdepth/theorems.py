@@ -138,9 +138,10 @@ def _observed_stabilization(depths: dict[int, int], limit: int) -> int | None:
 
 # Depths computed so far in the running `run_items` call, keyed by
 # (n, adjacency masks, k, characteristic); None outside such a call. Whisker
-# instances reach it through an orbit copy (`_orbit_copy`), so the clique
-# partitions of one Aut(base) orbit share one entry per k; with more than one
-# worker, only among the items of one worker process.
+# instances on bases of at most WHISKER_BASE_LIMIT vertices reach it through
+# an orbit copy (`_orbit_copy`), so the clique partitions of one Aut(base)
+# orbit share one entry per k; with more than one worker, only among the
+# items of one worker process.
 _DEPTH_MEMO: dict[tuple, int] | None = None
 
 # Automorphisms of each whisker base seen in the running `run_items` call,
@@ -188,8 +189,8 @@ def _depths(
 
 def _automorphisms(g: Graph) -> list[tuple[int, ...]]:
     """Every automorphism sigma of g as (sigma(1), ..., sigma(n)), by brute
-    force over the n! relabellings (bases have at most WHISKER_BASE_LIMIT
-    vertices)."""
+    force over the n! relabellings (`verify_whisker` asks only for bases on
+    at most WHISKER_BASE_LIMIT vertices)."""
     return [
         p for p in itertools.permutations(g.vertices)
         if all((min(p[u - 1], p[v - 1]), max(p[u - 1], p[v - 1])) in g.edges
@@ -286,11 +287,14 @@ def verify_whisker(
     m = number of blocks), and whose ordered matching number is m with an
     m-ordered certificate. Depth is read at k = 1..max(2, k_max).
 
-    Inside `run_items` the depths are read from an isomorphic orbit copy of
-    the whiskered graph (`_orbit_copy`), so that the partitions of one
-    Aut(g) orbit share their memo entries; outside it they are computed on
-    the whiskered graph itself. Either way the outcome reports pi and its
-    own whiskered graph."""
+    Inside `run_items`, and for a base on at most WHISKER_BASE_LIMIT
+    vertices, the depths are read from an isomorphic orbit copy of the
+    whiskered graph (`_orbit_copy`), so that the partitions of one Aut(g)
+    orbit share their memo entries; otherwise (outside a run, or a larger
+    base given to a single-graph run, whose n! relabellings would cost far
+    more than a memo hit saves) they are computed on the whiskered graph
+    itself. Either way the outcome reports pi and its own whiskered
+    graph."""
     if k_max < 1:
         raise InputError("k_max must be >= 1")
     w = whisker(g, pi)
@@ -311,7 +315,8 @@ def verify_whisker(
     s_w = profile.best(m)[0] or "-inf"
     if s_w != m:
         failures["m_ordered_certificate"] = {"expected": m, "computed": s_w}
-    copy = w if _DEPTH_MEMO is None else _orbit_copy(g, blocks, w)
+    small = _DEPTH_MEMO is not None and g.n <= WHISKER_BASE_LIMIT
+    copy = _orbit_copy(g, blocks, w) if small else w
     depths, guard_hit = _depths(copy, range(1, max(2, k_max) + 1), f, guard)
     expected = {
         k: (g.n + m - alpha - 1 if k == 1 else g.n - 1) for k in depths
@@ -633,8 +638,9 @@ def run_items(items: Sequence[tuple], jobs: int = 1) -> list[VerificationOutcome
     through its registry entry, in item order whatever `jobs` is, on at
     most one worker process per item and per CPU. At `jobs=1` each depth
     is computed once per labelled graph, k and field (`_depth`), and the
-    whisker instances whose partitions lie in one Aut(base) orbit share one
-    orbit copy (`verify_whisker`), so one set of depths. Worker processes
+    whisker instances whose partitions lie in one Aut(base) orbit of a base
+    on at most WHISKER_BASE_LIMIT vertices share one orbit copy
+    (`verify_whisker`), so one set of depths. Worker processes
     share no memo: with more than one, sharing happens only among the items
     of one worker. The memo and the automorphism table are gone when this
     returns or raises."""

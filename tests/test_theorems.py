@@ -530,6 +530,33 @@ def test_whisker_orbit_copy_with_wrong_automorphisms_changes_no_byte(monkeypatch
     assert len(set(sent)) >= 48
 
 
+def test_whisker_runs_on_large_bases_skip_the_orbit_copy(monkeypatch, tmp_path, capsys):
+    """A whisker base on more than WHISKER_BASE_LIMIT vertices, which only a
+    single-graph run can give, is never searched for automorphisms: its n!
+    relabellings would cost far more than the one memo hit they could buy.
+    Its outcome is the one a cold call gives, and an edgeless 12-vertex base
+    with 12 singleton blocks is skipped at once by the default guard."""
+
+    def refuse(g):
+        raise AssertionError(f"automorphisms searched on a {g.n}-vertex base")
+
+    monkeypatch.setattr(theorems, "_automorphisms", refuse)
+    g, pi = path(5), [[1, 2], [3, 4], [5]]
+    assert g.n > theorems.WHISKER_BASE_LIMIT
+    (out,) = theorems.run_items([("whisker", g, pi, 2, RATIONALS, None)])
+    assert out == verify_whisker(g, pi, 2)
+    assert out.status == "passed"
+
+    graph_file, pi_file = tmp_path / "g.txt", tmp_path / "pi.txt"
+    graph_file.write_text("n 12\n")
+    pi_file.write_text("".join(f"{v}\n" for v in range(1, 13)))
+    argv = ["verify", "whisker", "--graph", str(graph_file), "--partition",
+            str(pi_file), "--format", "json"]
+    assert cli.main(argv) == 0
+    (report,) = json.loads(capsys.readouterr().out)
+    assert report["status"] == "skipped"
+
+
 def test_single_graph_runs_compute_each_depth_once(monkeypatch, tmp_path, capsys):
     """`verify all --graph` runs its verifiers through the same runner as
     the corpus sweep: no (graph, k, field) depth is computed twice in one
