@@ -1,4 +1,5 @@
-"""Shared error types and resource-guard defaults.
+"""Shared error types, resource-guard defaults and the base of the value
+classes (:class:`Frozen`).
 
 Every guard is explicit: exceeding one raises :class:`GuardError` instead of
 silently approximating, and verification drivers convert guard hits into
@@ -41,6 +42,43 @@ class GuardError(ToolkitError):
 
 class ConsistencyError(ToolkitError):
     """Two independent computation routes disagreed: an internal bug."""
+
+
+class Frozen:
+    """Base of the package's immutable value classes.
+
+    A subclass lists its fields in `_fields`, in constructor order, and its
+    `__init__` sets them with `object.__setattr__`. Equality (against the
+    same class only), hashing and the `Name(field=value, ...)` repr read
+    `_fields` alone, so other attributes set the same way (`Graph.adj`) stay
+    out of them. Instances keep their `__dict__`, which pickle restores
+    without calling `__setattr__`. Not a dataclass: importing `dataclasses`
+    loads `inspect` and about 15 ms of modules into every process."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        d = self.__dict__
+        return tuple([d[name] for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        d = self.__dict__
+        args = ", ".join(f"{name}={d[name]!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def guard_override_enabled() -> bool:

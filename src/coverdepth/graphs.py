@@ -40,10 +40,9 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
 
 from ._bits import iter_bits
-from .errors import DEFAULT_ENUM_GUARD, InputError, check_guard
+from .errors import DEFAULT_ENUM_GUARD, Frozen, InputError, check_guard
 
 # Ordering-compatible sentinel for "no such matching exists".
 NEG_INF = float("-inf")
@@ -52,30 +51,18 @@ Edge = tuple[int, int]
 Pair = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Frozen):
     """A simple undirected graph on vertices 1..n. `adj[i]` is the neighbour
     bitmask of vertex i + 1 (bit j for vertex j + 1), derived from the edges
     and so left out of equality, hashing and repr."""
 
+    _fields = ("n", "edges")
     n: int
     edges: frozenset[Edge]
-    adj: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    adj: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise InputError("graph needs at least one vertex")
-        # normalize the container so equality and hashing see only the edge
-        # set, not whether a tuple or frozenset was passed in
-        edges = frozenset(_pair(e) for e in self.edges)
-        adj = [0] * self.n
-        for u, v in edges:
-            if not (1 <= u < v <= self.n):
-                raise InputError(f"bad edge {(u, v)!r} for n={self.n}")
-            adj[u - 1] |= 1 << (v - 1)
-            adj[v - 1] |= 1 << (u - 1)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "adj", tuple(adj))
+    def __init__(self, n: int, edges: Iterable[Edge]) -> None:
+        _init_graph(self, n, map(_pair, edges))
 
     @property
     def vertices(self) -> range:
@@ -86,6 +73,25 @@ class Graph:
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
+
+
+def _init_graph(g: Graph, n: int, pairs: Iterable[Edge]) -> None:
+    """Set g's fields from n and its edges, given as pairs of ints: an
+    InputError unless n >= 1 and every pair is (u, v) with 1 <= u < v <= n.
+    The edges become a frozenset, so equality and hashing see only the edge
+    set, not whether a tuple or frozenset was passed in."""
+    if n < 1:
+        raise InputError("graph needs at least one vertex")
+    edges = frozenset(pairs)
+    adj = [0] * n
+    for u, v in edges:
+        if not (1 <= u < v <= n):
+            raise InputError(f"bad edge {(u, v)!r} for n={n}")
+        adj[u - 1] |= 1 << (v - 1)
+        adj[v - 1] |= 1 << (u - 1)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "edges", edges)
+    object.__setattr__(g, "adj", tuple(adj))
 
 
 def _pair(e) -> Edge:
@@ -100,14 +106,17 @@ def _pair(e) -> Edge:
 
 
 def graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
-    """Build a :class:`Graph`, normalizing and validating the edge list."""
+    """Build a :class:`Graph`, normalizing and validating the edge list;
+    each edge goes through `_pair` once, here, not again in `Graph`."""
     normalized = set()
     for e in edges:
         u, v = _pair(e)
         if u == v:
             raise InputError(f"loop at vertex {u} is not allowed")
-        normalized.add((min(u, v), max(u, v)))
-    return Graph(n, frozenset(normalized))
+        normalized.add((u, v) if u < v else (v, u))
+    g = Graph.__new__(Graph)
+    _init_graph(g, n, normalized)
+    return g
 
 
 def isolated_vertices(g: Graph) -> list[int]:
@@ -214,16 +223,26 @@ def is_s_ordered_matching(g: Graph, pairs: Sequence[Pair], s: int) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class OrderedProfile:
+class OrderedProfile(Frozen):
     """One search's records, for s = 1..max(1, n // 2): `sizes[s - 1]` is the
     largest s-ordered size (0 if none) and `certs[s - 1]` the first such
     matching found; `b_independent` is the same for s = 1 and an independent
     b-side."""
 
+    _fields = ("sizes", "certs", "b_independent")
     sizes: tuple[int, ...]
     certs: tuple[list[Pair] | None, ...]
     b_independent: tuple[int, list[Pair] | None]
+
+    def __init__(
+        self,
+        sizes: tuple[int, ...],
+        certs: tuple[list[Pair] | None, ...],
+        b_independent: tuple[int, list[Pair] | None],
+    ) -> None:
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "certs", certs)
+        object.__setattr__(self, "b_independent", b_independent)
 
     def best(self, s: int) -> tuple[int, list[Pair] | None]:
         """(size, certificate) of a largest s-ordered matching; (0, None) if none."""

@@ -87,7 +87,6 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass
 
 from ._bits import iter_bits
 from ._linalg import rank
@@ -95,6 +94,7 @@ from .errors import (
     DEFAULT_HOCHSTER_GUARD,
     DEFAULT_TAYLOR_GUARD,
     ConsistencyError,
+    Frozen,
     InputError,
     check_guard,
 )
@@ -112,16 +112,17 @@ from .layered import LayeredGraph, build_gk
 # coefficient fields
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FieldChoice:
+class FieldChoice(Frozen):
     """Coefficient field for all homology: characteristic 0 is the rationals
     Q, characteristic 2 the two-element field F2; no other is accepted."""
 
+    _fields = ("char",)
     char: int
 
-    def __post_init__(self) -> None:
-        if self.char not in (0, 2):
-            raise InputError(f"field characteristic must be 0 or 2, got {self.char}")
+    def __init__(self, char: int) -> None:
+        if char not in (0, 2):
+            raise InputError(f"field characteristic must be 0 or 2, got {char}")
+        object.__setattr__(self, "char", char)
 
     @property
     def label(self) -> str:
@@ -308,15 +309,17 @@ def _hochster_position(j: int, d: int) -> tuple[int, int]:
     return (j - d - 1, j)
 
 
-@dataclass(frozen=True)
-class BettiTable:
+class BettiTable(Frozen):
     """Graded Betti numbers beta_{i,j} of a quotient ring, stored as sorted
     (i, j, beta) triples with beta > 0."""
 
+    _fields = ("num_vars", "entries")
     num_vars: int
     entries: tuple[tuple[int, int, int], ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, num_vars: int, entries: tuple[tuple[int, int, int], ...]) -> None:
+        object.__setattr__(self, "num_vars", num_vars)
+        object.__setattr__(self, "entries", entries)
         if list(self.entries) != sorted(self.entries):
             raise InputError("Betti entries must be sorted by (i, j)")
         for i, j, b in self.entries:

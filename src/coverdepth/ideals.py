@@ -17,23 +17,23 @@ from __future__ import annotations
 import itertools
 import re
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 from ._bits import iter_bits, mask_of, minimal_hitting_sets
-from .errors import InputError, ParseError
+from .errors import Frozen, InputError, ParseError
 from .graphs import Graph
 
 # A variable label is an int (base x_i) or an (i, p) pair (layered x_{i,p}).
 Monomial = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Ring:
+class Ring(Frozen):
     """An ordered tuple of variable labels (all ints, or all layer pairs)."""
 
+    _fields = ("labels",)
     labels: tuple
 
-    def __post_init__(self) -> None:
+    def __init__(self, labels: tuple) -> None:
+        object.__setattr__(self, "labels", labels)
         if len(set(self.labels)) != len(self.labels):
             raise InputError("duplicate variable labels")
         kinds = {isinstance(lab, tuple) for lab in self.labels}
@@ -79,14 +79,16 @@ def var_name(label) -> str:
     return f"x{label}"
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(Frozen):
     """A nonzero proper monomial ideal, stored by its minimal generators."""
 
+    _fields = ("ring", "gens")
     ring: Ring
     gens: frozenset[Monomial]
 
-    def __post_init__(self) -> None:
+    def __init__(self, ring: Ring, gens: frozenset[Monomial]) -> None:
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "gens", gens)
         if not self.gens:
             raise InputError("the zero ideal (no generators) is not supported")
         for g in self.gens:

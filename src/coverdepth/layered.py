@@ -19,24 +19,27 @@ k >= t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ._bits import iter_bits
-from .errors import InputError
+from .errors import Frozen, InputError
 from .graphs import Graph, is_bipartite, is_ordered_matching, is_s_ordered_matching
 
 LayeredVertex = tuple[int, int]
 LayeredEdge = tuple[LayeredVertex, LayeredVertex]
 
 
-@dataclass(frozen=True)
-class LayeredGraph:
+class LayeredGraph(Frozen):
     """The graph G_k on the full (i, p) grid. `adj[v]` is the neighbour
     bitmask of grid vertex v = (i - 1) * k + p - 1, in the same order."""
 
+    _fields = ("base_n", "k", "adj")
     base_n: int
     k: int
     adj: tuple[int, ...]
+
+    def __init__(self, base_n: int, k: int, adj: tuple[int, ...]) -> None:
+        object.__setattr__(self, "base_n", base_n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "adj", adj)
 
     @property
     def vertices(self) -> list[LayeredVertex]:

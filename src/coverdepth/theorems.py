@@ -29,11 +29,10 @@ import itertools
 import json
 import os
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 
 from . import homology
-from .errors import ConsistencyError, GuardError, InputError
+from .errors import ConsistencyError, Frozen, GuardError, InputError
 from .graphs import (
     Graph,
     OrderedProfile,
@@ -78,17 +77,21 @@ def _stability(g: Graph) -> tuple[int, int, int, OrderedProfile]:
     return t, s, stability_threshold(t, s), profile
 
 
-@dataclass(frozen=True)
-class VerificationOutcome:
+class VerificationOutcome(Frozen):
     """Result of one verifier on one instance. `status` is `passed`,
     `failed`, or `skipped`; anything other than a pass carries details."""
 
+    _fields = ("theorem_id", "instance", "status", "details")
     theorem_id: str
     instance: dict
     status: str
     details: dict
 
-    def __post_init__(self) -> None:
+    def __init__(self, theorem_id: str, instance: dict, status: str, details: dict) -> None:
+        object.__setattr__(self, "theorem_id", theorem_id)
+        object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "details", details)
         if self.status not in ("passed", "failed", "skipped"):
             raise InputError(f"unknown outcome status {self.status!r}")
         if self.status != "passed" and not self.details:
@@ -144,9 +147,11 @@ def _observed_stabilization(depths: dict[int, int], limit: int) -> int | None:
 # items of one worker process.
 _DEPTH_MEMO: dict[tuple, int] | None = None
 
-# Automorphisms of each whisker base seen in the running `run_items` call,
-# keyed by (n, adjacency masks); created and dropped with `_DEPTH_MEMO`.
-_BASE_AUTOMORPHISMS: dict[tuple, list[tuple[int, ...]]] | None = None
+# For each whisker base seen in the running `run_items` call, keyed by (n,
+# adjacency masks): its automorphisms, and for each clique partition (sorted
+# tuple of sorted blocks) of an orbit met so far, the orbit's least image and
+# a sigma sending the partition there; created and dropped with `_DEPTH_MEMO`.
+_BASE_AUTOMORPHISMS: dict[tuple, tuple[list[tuple[int, ...]], dict]] | None = None
 
 
 def _depth(g: Graph, k: int, f: FieldChoice, guard: int | None) -> int:
@@ -206,15 +211,27 @@ def _orbit_copy(g: Graph, blocks: list[list[int]], w: Graph) -> Graph:
     least; base vertex v becomes sigma(v), and whisker vertex n + j becomes
     n + 1 + the rank of sigma(B_j) in that list. The copy is a relabelling
     of w whatever sigma is, so a wrong automorphism can only cost memo hits,
-    never change a depth. Aut(g) is enumerated once per base per run."""
+    never change a depth. Aut(g) is enumerated once per base per run, and
+    sigma is chosen once per orbit: when p sends the first partition met, P,
+    to Q, then sigma_P composed with p^-1 sends Q to the least image."""
     key = (g.n, g.adj)
-    auts = _BASE_AUTOMORPHISMS.get(key)
-    if auts is None:
-        auts = _BASE_AUTOMORPHISMS[key] = _automorphisms(g)
-    least, sigma = min(
-        (sorted(sorted(p[v - 1] for v in b) for b in blocks), p) for p in auts
-    )
-    ranks = [least.index(sorted(sigma[v - 1] for v in b)) for b in blocks]
+    entry = _BASE_AUTOMORPHISMS.get(key)
+    if entry is None:
+        entry = _BASE_AUTOMORPHISMS[key] = (_automorphisms(g), {})
+    auts, sigmas = entry
+    part = tuple(sorted(map(tuple, blocks)))
+    if part not in sigmas:
+        images = [
+            (tuple(sorted(tuple(sorted(p[v - 1] for v in b)) for b in part)), p)
+            for p in auts
+        ]
+        least, sigma = min(images)
+        sigmas[part] = least, sigma
+        for image, p in images:
+            tau = tuple(sigma[p.index(v)] for v in g.vertices)
+            sigmas.setdefault(image, (least, tau))
+    least, sigma = sigmas[part]
+    ranks = [least.index(tuple(sorted(sigma[v - 1] for v in b))) for b in blocks]
     label = [*sigma, *(g.n + 1 + r for r in ranks)]
     return graph(w.n, ((label[u - 1], label[v - 1]) for u, v in w.edges))
 
@@ -539,8 +556,7 @@ def clique_partitions(g: Graph) -> Iterator[list[tuple[int, ...]]]:
     yield from rec(tuple(g.vertices))
 
 
-@dataclass(frozen=True)
-class Verifier:
+class Verifier(Frozen):
     """Registry entry for one theorem id.
 
     `call(g, partition, k_max, field, guard)` runs the verifier. An entry
@@ -552,9 +568,20 @@ class Verifier:
     on one graph skips that verifier instead of stopping.
     """
 
+    _fields = ("call", "takes_partition", "accepts")
     call: Callable[..., VerificationOutcome]
-    takes_partition: bool = False
-    accepts: Callable[[Graph], bool] = lambda g: True
+    takes_partition: bool
+    accepts: Callable[[Graph], bool]
+
+    def __init__(
+        self,
+        call: Callable[..., VerificationOutcome],
+        takes_partition: bool = False,
+        accepts: Callable[[Graph], bool] = lambda g: True,
+    ) -> None:
+        object.__setattr__(self, "call", call)
+        object.__setattr__(self, "takes_partition", takes_partition)
+        object.__setattr__(self, "accepts", accepts)
 
     def applies(self, g: Graph, partition: Sequence | None) -> bool:
         """Whether a run of all verifiers gives this one the instance."""

@@ -913,7 +913,7 @@ def test_depth_symbolic_cover_builds_no_plain_graph(monkeypatch):
     for module in (layered, homology):
         monkeypatch.setattr(module, "as_plain_graph", refuse, raising=False)
     monkeypatch.setattr(graphs, "graph", refuse)
-    monkeypatch.setattr(Graph, "__post_init__", refuse)
+    monkeypatch.setattr(Graph, "__init__", refuse)
     monkeypatch.setattr(homology, "_KOSZUL_DIMS", {})
     monkeypatch.setattr(homology, "_COMPONENT_DIMS", {})
     assert [depth_symbolic_cover(g, k) for g, k in graphs_in] == [3, 4, 1]

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import ast
 import concurrent.futures
-import dataclasses
 import itertools
 import json
 import subprocess
@@ -20,6 +19,7 @@ from coverdepth import cli, graphs, homology, theorems
 from coverdepth.errors import ConsistencyError, InputError
 from coverdepth.graphs import (
     Graph,
+    OrderedProfile,
     enumerate_graphs,
     isolated_vertices,
     isomorphism_representatives,
@@ -171,7 +171,7 @@ def test_whisker_failure_without_m_ordered_matching_is_valid_json(monkeypatch):
 
     def no_m_ordered(g):
         profile = real(g)
-        return dataclasses.replace(profile, sizes=profile.sizes[:1], certs=profile.certs[:1])
+        return OrderedProfile(profile.sizes[:1], profile.certs[:1], profile.b_independent)
 
     monkeypatch.setattr(theorems, "ordered_profile", no_m_ordered)
     outcome = verify_whisker(path(2), [(1,), (2,)])
@@ -303,7 +303,7 @@ def test_proof_matchings_fail_on_a_certificate_one_pair_short(monkeypatch):
         p = profile(g)
         certs = list(p.certs)
         certs[1] = certs[1][:-1]
-        return dataclasses.replace(p, certs=tuple(certs))
+        return OrderedProfile(p.sizes, tuple(certs), p.b_independent)
 
     monkeypatch.setattr(theorems, "ordered_profile", short)
     out = verify_proof_matchings(path(6))
@@ -775,11 +775,12 @@ def test_json_text_rejects_what_it_does_not_render(obj):
         theorems.json_text(obj)
 
 
-def test_cli_import_loads_no_pool_typing_hashlib_or_csv():
+def test_cli_import_loads_no_pool_typing_hashlib_csv_dataclasses_or_inspect():
     """Importing the CLI, as every `coverdepth` run does, loads no process
-    pool (nor multiprocessing behind it), `typing`, `hashlib` or `csv`:
-    `run_items` imports the pool only to start workers, and the text and
-    csv reports import `hashlib` and `csv` when they render."""
+    pool (nor multiprocessing behind it), `typing`, `hashlib`, `csv`,
+    `dataclasses` or `inspect`: `run_items` imports the pool only to start
+    workers, the text and csv reports import `hashlib` and `csv` when they
+    render, and the value classes are plain `Frozen` subclasses."""
     src = Path(theorems.__file__).resolve().parents[1]
     code = (f"import sys; sys.path.insert(0, {str(src)!r}); import coverdepth.cli; "
             "print(sorted(sys.modules))")
@@ -787,7 +788,8 @@ def test_cli_import_loads_no_pool_typing_hashlib_or_csv():
                          capture_output=True, text=True, check=True).stdout
     loaded = set(ast.literal_eval(out))
     assert "coverdepth.cli" in loaded
-    banned = {"concurrent.futures", "multiprocessing", "typing", "hashlib", "csv"}
+    banned = {"concurrent.futures", "multiprocessing", "typing", "hashlib", "csv",
+              "dataclasses", "inspect"}
     assert not banned & loaded
 
 
